@@ -13,8 +13,8 @@ Three cooperating pieces, all opt-in and all zero-cost when disabled:
   the right outcomes.
 * :mod:`repro.check.lint` -- static analysis for the simulator sources
   (``repro lint``): per-file determinism rules plus whole-program
-  contract passes (snapshot completeness, ephemeral-parameter purity,
-  backend-surface equivalence).
+  contract passes (snapshot completeness and ephemeral-parameter
+  purity).
 
 :mod:`repro.check.mutations` seeds deliberate protocol bugs and proves
 the sanitizer and litmus harness detect every one of them (the

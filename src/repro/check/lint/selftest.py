@@ -57,16 +57,17 @@ def _ephemeral_read_in_tick(source: str) -> str:
     return mutated
 
 
-def _numpy_import_in_core(source: str) -> str:
-    """Insert a numpy import at the top of cpu/core.py."""
-    pattern = re.compile(r"^(from __future__ import annotations\n)",
-                         re.MULTILINE)
+def _main_loop_attribute_chain(source: str) -> str:
+    """Insert an unhoisted ``self.params.processor`` lookup into the
+    body of Machine.run's cycle loop."""
+    pattern = re.compile(r"^(            last_step = now\n)", re.MULTILINE)
     mutated, count = pattern.subn(
-        r"\1import numpy\n", source, count=1)
+        r"\1            _r007_probe = self.params.processor\n",
+        source, count=1)
     if count != 1:
         raise AssertionError(
-            "mutation anchor 'from __future__ import annotations' not "
-            "found in cpu/core.py -- update the static teeth test")
+            "mutation anchor 'last_step = now' not found in "
+            "system/machine.py -- update the static teeth test")
     return mutated
 
 
@@ -85,19 +86,6 @@ def _raw_durable_write(source: str) -> str:
         "        fh.write(text)\n")
 
 
-def _fast_only_write(source: str) -> str:
-    """Insert a fast-path-only attribute write into tick_fast()."""
-    pattern = re.compile(r"^(    def tick_fast\(self\b[^\n]*\n)",
-                         re.MULTILINE)
-    mutated, count = pattern.subn(
-        r"\1        self._fast_scratch = 0\n", source, count=1)
-    if count != 1:
-        raise AssertionError(
-            "mutation anchor 'def tick_fast(self' not found in "
-            "cpu/core.py -- update the static teeth test")
-    return mutated
-
-
 #: name -> (description, target path relative to the lint root,
 #:          source transformer, rule code expected to fire)
 STATIC_MUTATIONS: Dict[str, Tuple[str, str, Callable[[str], str], str]] = {
@@ -113,18 +101,12 @@ STATIC_MUTATIONS: Dict[str, Tuple[str, str, Callable[[str], str], str]] = {
         os.path.join("cpu", "core.py"),
         _ephemeral_read_in_tick,
         "R011"),
-    "fast-only-write": (
-        "write self._fast_scratch only in tick_fast() -- a backend "
-        "write-surface divergence",
-        os.path.join("cpu", "core.py"),
-        _fast_only_write,
-        "R012"),
-    "numpy-import-outside-batch": (
-        "import numpy in cpu/core.py -- array semantics escaping the "
-        "batch backend's scan kernels",
-        os.path.join("cpu", "core.py"),
-        _numpy_import_in_core,
-        "R009"),
+    "main-loop-attribute-chain": (
+        "look up self.params.processor inside Machine.run's cycle loop "
+        "-- a repeated attribute chain on every grid point",
+        os.path.join("system", "machine.py"),
+        _main_loop_attribute_chain,
+        "R007"),
     "fabric-socket-no-timeout": (
         "add a socket recv with no settimeout to the fabric protocol "
         "-- a lost peer would wedge the wait forever",

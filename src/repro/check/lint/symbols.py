@@ -1,4 +1,4 @@
-"""Whole-program symbol table feeding the contract passes (R010-R012).
+"""Whole-program symbol table feeding the contract passes (R010, R011).
 
 The :class:`ProgramIndex` holds one :class:`ModuleInfo` per linted file;
 each records, per class and per method, the facts the contracts reason
@@ -7,11 +7,6 @@ about:
 * ``attr_writes`` -- names ``X`` assigned via ``self.X = ...``,
   ``self.X op= ...`` or ``self.X[...] = ...`` (subscript stores count as
   a mutation of ``X`` for snapshot completeness);
-* ``dotted_writes`` -- plain attribute-assignment targets as dotted
-  paths (``self.X`` -> ``X``, ``self.X.Y`` -> ``X.Y``), with local
-  aliases resolved (``sb = self.storebuf; sb.flag = ...`` ->
-  ``storebuf.flag``); subscript stores are deliberately excluded, so
-  both backends' in-place container updates don't create noise;
 * ``attr_reads`` -- names ``X`` loaded via ``self.X`` (snapshot coverage);
 * ``calls`` -- intra-class ``self.m(...)`` edges (contract passes close
   write sets over them);
@@ -34,15 +29,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.check.lint.rules_file import parse_pragmas, suppressed
 
 
-def _self_chain(node: ast.AST) -> Optional[List[str]]:
-    """``self.a.b`` -> ``["a", "b"]``; anything else -> None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name) and node.id == "self" and parts:
-        return list(reversed(parts))
-    return None
+def _is_self(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
 
 
 class MethodInfo:
@@ -53,7 +41,6 @@ class MethodInfo:
         self.name = name
         self.node = node
         self.attr_writes: Dict[str, ast.AST] = {}
-        self.dotted_writes: Dict[str, ast.AST] = {}
         self.attr_reads: Set[str] = set()
         self.calls: Set[str] = set()
         self.state_keys: Dict[str, ast.AST] = {}
@@ -63,7 +50,6 @@ class MethodInfo:
     def merge(self, other: "MethodInfo") -> None:
         """Property getter/setter pairs share a name; union their facts."""
         self.attr_writes.update(other.attr_writes)
-        self.dotted_writes.update(other.dotted_writes)
         self.attr_reads |= other.attr_reads
         self.calls |= other.calls
         self.state_keys.update(other.state_keys)
@@ -75,7 +61,6 @@ class _MethodVisitor(ast.NodeVisitor):
     def __init__(self, info: MethodInfo, state_param: Optional[str]):
         self.info = info
         self.state_param = state_param
-        self.aliases: Dict[str, List[str]] = {}
 
     # -- assignment targets --------------------------------------------------
 
@@ -87,50 +72,15 @@ class _MethodVisitor(ast.NodeVisitor):
         if isinstance(target, ast.Starred):
             self._record_target(target.value, node)
             return
-        if isinstance(target, ast.Attribute):
-            chain = self._target_chain(target)
-            if chain is None:
-                return
-            self.info.dotted_writes.setdefault(".".join(chain), node)
-            if len(chain) == 1:
-                self.info.attr_writes.setdefault(chain[0], node)
-            return
         if isinstance(target, ast.Subscript):
-            chain = self._target_chain(target.value) \
-                if isinstance(target.value, ast.Attribute) else None
-            if chain is not None and len(chain) == 1:
-                # self.X[...] = ... mutates X for checkpoint purposes,
-                # but stays off the R012 surface (both backends update
-                # containers in place through method calls too).
-                self.info.attr_writes.setdefault(chain[0], node)
-
-    def _target_chain(self, target: ast.AST) -> Optional[List[str]]:
-        """Dotted path of an attribute target, aliases resolved."""
-        parts: List[str] = []
-        node = target
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        if node.id == "self":
-            return list(reversed(parts))
-        alias = self.aliases.get(node.id)
-        if alias is not None:
-            return alias + list(reversed(parts))
-        return None
+            # self.X[...] = ... mutates X for checkpoint purposes.
+            target = target.value
+        if isinstance(target, ast.Attribute) and _is_self(target.value):
+            self.info.attr_writes.setdefault(target.attr, node)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             self._record_target(target, node)
-        if len(node.targets) == 1 and \
-                isinstance(node.targets[0], ast.Name):
-            name = node.targets[0].id
-            chain = _self_chain(node.value)
-            if chain is not None:
-                self.aliases[name] = chain
-            else:
-                self.aliases.pop(name, None)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:

@@ -161,26 +161,17 @@ class SmtCore:
 
     # -- execution ----------------------------------------------------------
 
-    def tick(self, now: int) -> int:
-        self.shared.refresh(now)
-        next_event = FAR_FUTURE
-        for ctx in self.contexts:
-            t = ctx.tick(now)
-            if t < next_event:
-                next_event = t
-        return next_event
-
-    # True iff every context's most recent tick_fast() was a no-op, in
-    # which case the whole-core tick only refreshed the (unconsumed)
-    # shared pools -- which settle() reproduces at the skipped-to cycle.
+    # True iff every context's most recent tick() was a no-op, in which
+    # case the whole-core tick only refreshed the (unconsumed) shared
+    # pools -- which settle() reproduces at the skipped-to cycle.
     tick_quiet = False
 
-    def tick_fast(self, now: int) -> int:
+    def tick(self, now: int) -> int:
         self.shared.refresh(now)
         next_event = FAR_FUTURE
         quiet = True
         for ctx in self.contexts:
-            t = ctx.tick_fast(now)
+            t = ctx.tick(now)
             if t < next_event:
                 next_event = t
             if not ctx.tick_quiet:
@@ -192,7 +183,7 @@ class SmtCore:
         """Bring a skipped core's accounting and shared-pool state up to
         ``now`` (see ProcessorCore.settle).  Quiet contexts consume no
         shared bandwidth, so refreshing the pools at ``now`` reproduces
-        the reference backend's end-of-run pipeline state exactly."""
+        the end-of-run pipeline state of an every-grid-point run exactly."""
         self.shared.refresh(now)
         for ctx in self.contexts:
             ctx.settle(now)

@@ -48,7 +48,7 @@ class StoreBuffer:
         self.stores_pushed = 0
         self.barriers_pushed = 0
         # Set by drain() when a pass changed state (pops, issues, retry
-        # reschedules, prefetches).  The fast backend resets it before
+        # reschedules, prefetches).  The core's tick resets it before
         # calling drain and reads it afterwards to certify no-op ticks;
         # it is scratch, never checkpointed.
         self.drain_activity = False

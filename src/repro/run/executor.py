@@ -68,31 +68,6 @@ def default_arena_mode() -> str:
     return mode if mode in _ARENA_MODES else "auto"
 
 
-def _execute_payload(payload: Dict[str, Any], attempt: int = 0
-                     ) -> Tuple[Dict[str, Any], float]:
-    """Worker entry point: rebuild the job, run it, ship the result back.
-
-    Fault injection (``REPRO_FAULTS``) happens here, *before* the
-    simulation runs, so an injected crash or hang never perturbs
-    simulated state -- a retried attempt recomputes the identical
-    result.  (The chunked pool path uses
-    :func:`repro.run.forkserver._execute_batch` instead; this single-job
-    entry remains for tools and tests that dispatch one payload.)
-    """
-    spec = JobSpec.from_dict(payload)
-    # Host-side wall time for throughput reporting only; never feeds
-    # simulated state.  The clock starts before fault injection so an
-    # injected hang is charged to the attempt, like any real stall.
-    start = time.perf_counter()  # repro-lint: disable=R002
-    plan = plan_from_env()
-    if plan is not None:
-        fingerprint = spec.fingerprint()
-        plan.maybe_crash(fingerprint, attempt)
-        plan.maybe_hang(fingerprint, attempt)
-    result = spec.run()
-    return result.to_dict(), time.perf_counter() - start  # repro-lint: disable=R002
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Per-job failure handling knobs for :func:`run_many`.
@@ -574,7 +549,8 @@ def _run_pool(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
                 manifest.mark_running(spec.fingerprint())
         payload = forkserver.make_batch_payload(
             entries[0][1].to_dict(),
-            [(spec.to_dict(), attempt, arena_paths.get(index))
+            [(spec.to_dict(), attempt, arena_paths.get(index),
+              spec.ephemeral())
              for index, spec, attempt, _elapsed in entries],
             cache_dir=str(cache.path) if cache is not None else None,
             checkpoint_every=checkpoint_every)

@@ -489,6 +489,7 @@ class _Session:
                         "type": "job", "job_id": job_seq,
                         "dispatch": dispatch_seq,
                         "spec": spec.to_dict(),
+                        "ephemeral": spec.ephemeral(),
                         "fingerprint": fingerprint,
                         "attempt": attempt,
                         "arena": self.ctx.arena_paths.get(index),

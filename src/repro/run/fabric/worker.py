@@ -164,7 +164,8 @@ def _serve_loop(channel: Channel, name: str, cache_dir: Optional[str],
             os._exit(3)
         outcome = forkserver.run_entry(
             spec_dict, int(message.get("attempt", 0)),
-            message.get("arena"), plan, cache_dir, checkpoint_every)
+            message.get("arena"), plan, cache_dir, checkpoint_every,
+            message.get("ephemeral"))
         done_ids.add(job_id)
         result = {"type": "result", "job_id": job_id, "worker": name,
                   "outcome": outcome}

@@ -163,12 +163,15 @@ def apply_delta(base_flat: Dict[Tuple[str, ...], Any],
 
 def make_batch_payload(base: Dict[str, Any],
                        entries: Sequence[Tuple[Dict[str, Any], int,
-                                               Optional[str]]],
+                                               Optional[str],
+                                               Dict[str, Any]]],
                        cache_dir: Optional[str] = None,
                        checkpoint_every: int = 0) -> Dict[str, Any]:
-    """Build one chunk payload from ``(job dict, attempt, arena path)``
-    triples.  Captures the parent's current fault plan explicitly so
-    persistent workers never act on a stale inherited environment.
+    """Build one chunk payload from ``(job dict, attempt, arena path,
+    ephemeral knobs)`` entries; the knobs (:meth:`JobSpec.ephemeral`)
+    travel beside the job dict, which omits them.  Captures the
+    parent's current fault plan explicitly so persistent workers never
+    act on a stale inherited environment.
     ``cache_dir`` (when set) is where workers keep checkpoints and write
     crash-triage bundles; ``checkpoint_every`` is the checkpoint
     interval in retired instructions (0 disables checkpoint writes).
@@ -177,8 +180,9 @@ def make_batch_payload(base: Dict[str, Any],
     return {
         "base": base,
         "jobs": [{"delta": encode_delta(base_flat, job),
-                  "attempt": attempt, "arena": arena}
-                 for job, attempt, arena in entries],
+                  "attempt": attempt, "arena": arena,
+                  "ephemeral": ephemeral}
+                 for job, attempt, arena, ephemeral in entries],
         "faults": os.environ.get(FAULTS_ENV, ""),
         "cache_dir": cache_dir,
         "checkpoint_every": int(checkpoint_every),
@@ -190,7 +194,9 @@ def make_batch_payload(base: Dict[str, Any],
 def run_entry(spec_dict: Dict[str, Any], attempt: int,
               arena: Optional[str], plan,
               cache_dir: Optional[str],
-              checkpoint_every: int) -> Dict[str, Any]:
+              checkpoint_every: int,
+              ephemeral: Optional[Dict[str, Any]] = None
+              ) -> Dict[str, Any]:
     """Execute one job dict with full worker semantics; never raises.
 
     This is the single per-job execution path shared by the fork-server
@@ -200,12 +206,13 @@ def run_entry(spec_dict: Dict[str, Any], attempt: int,
     worker's inherited environment), checkpoints/triage land under
     ``cache_dir`` when one is given, and any exception -- injected or
     real -- is folded into the returned outcome dict so one bad job
-    cannot poison its neighbours or its transport.
+    cannot poison its neighbours or its transport.  ``ephemeral``
+    reinstates the job's tooling knobs, which the job dict omits.
     """
     start = time.perf_counter()  # repro-lint: disable=R002
     info: Dict[str, Any] = {}
     try:
-        spec = JobSpec.from_dict(spec_dict)
+        spec = JobSpec.from_dict(spec_dict, ephemeral)
         if plan is not None:
             fingerprint = spec.fingerprint()
             plan.maybe_crash(fingerprint, attempt)
@@ -242,11 +249,10 @@ def run_entry(spec_dict: Dict[str, Any], attempt: int,
 def _execute_batch(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Worker entry point: run every job of one chunk independently.
 
-    Mirrors the single-job ``_execute_payload`` semantics per job
-    through the shared :func:`run_entry` path: faults come from the
-    payload's captured plan (not the worker's environment), and any
-    exception -- injected or real -- is isolated to its job's outcome
-    so one bad job cannot poison its chunk-mates.
+    Every job goes through the shared :func:`run_entry` path: faults
+    come from the payload's captured plan (not the worker's
+    environment), and any exception -- injected or real -- is isolated
+    to its job's outcome so one bad job cannot poison its chunk-mates.
     """
     base_flat = flatten(payload["base"])
     plan = plan_from_env(payload.get("faults", ""))
@@ -254,7 +260,7 @@ def _execute_batch(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
     every = int(payload.get("checkpoint_every", 0) or 0)
     return [run_entry(apply_delta(base_flat, entry["delta"]),
                       entry["attempt"], entry.get("arena"), plan,
-                      cache_dir, every)
+                      cache_dir, every, entry.get("ephemeral"))
             for entry in payload["jobs"]]
 
 

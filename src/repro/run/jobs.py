@@ -34,7 +34,7 @@ from repro.core.workloads import (
     oltp_workload,
     tpcc_workload,
 )
-from repro.params import DEFAULT_SCALE, SystemParams
+from repro.params import DEFAULT_SCALE, EPHEMERAL_FIELDS, SystemParams
 from repro.params_io import params_from_dict, params_to_dict
 from repro.trace.database import MigratoryHints
 
@@ -164,10 +164,26 @@ class JobSpec:
             "seed": self.seed,
         }
 
+    def ephemeral(self) -> Dict[str, Any]:
+        """The tooling knobs (``EPHEMERAL_FIELDS``) :meth:`to_dict` omits.
+
+        Dispatchers ship this beside the job dict so a worker runs the
+        job exactly as submitted (sanitizer, watchdog) while fingerprints
+        stay independent of the knobs."""
+        return {name: getattr(self.params, name)
+                for name in sorted(EPHEMERAL_FIELDS)}
+
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "JobSpec":
+    def from_dict(cls, data: Dict[str, Any],
+                  ephemeral: Optional[Dict[str, Any]] = None
+                  ) -> "JobSpec":
+        """Inverse of :meth:`to_dict`; ``ephemeral`` (from
+        :meth:`ephemeral`) reinstates the knobs the dict omits."""
+        params = params_from_dict(data["params"])
+        if ephemeral:
+            params = params.replace(**ephemeral)
         return cls(
-            params=params_from_dict(data["params"]),
+            params=params,
             workload=WorkloadSpec.from_dict(data["workload"]),
             instructions=int(data["instructions"]),
             warmup=int(data["warmup"]),

@@ -300,15 +300,8 @@ class ArenaStream:
     Behaves exactly like the closure generator it replaced -- same
     decode, and :class:`ArenaExhausted` once at the end of the
     materialized stream (plain ``StopIteration`` on any draw after
-    that, matching a dead generator frame) -- while exposing its
-    position and the underlying struct-of-arrays views, so the batch
-    backend's round planner can classify upcoming instructions
-    zero-copy, without decoding or consuming them.
-
-    Index bookkeeping: a core's sequence number ``s`` (counted from
-    process start, surviving checkpoint restore because restores re-seek
-    by instructions consumed) lives at absolute arena index
-    ``base + s``.
+    that, matching a dead generator frame).  ``skip`` re-seeks past
+    instructions already consumed (checkpoint restore).
     """
 
     __slots__ = ("arena", "pid", "pos", "end", "base")

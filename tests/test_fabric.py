@@ -22,6 +22,7 @@ from repro.run import (
     MANIFEST_NAME,
     JobSpec,
     ResultCache,
+    RetryPolicy,
     SweepManifest,
     WorkloadSpec,
     plan_from_env,
@@ -364,6 +365,41 @@ class TestFabricSweeps:
             logged = [entry["attempt"] for entry in record.attempt_log]
             assert len(logged) == len(set(logged)) == 1, \
                 "duplicate attempt entries across dispatchers"
+
+    def test_ephemeral_knobs_reach_every_dispatcher(self):
+        """The job dict omits ephemeral params (they stay out of the
+        fingerprint), so dispatchers ship them beside it: an armed
+        watchdog trips at the identical cycle serially, on the local
+        pool and on loopback fabric workers."""
+        specs = [tiny_spec(seed=s, watchdog_cycles=3) for s in range(2)]
+        no_retry = RetryPolicy(retries=0)
+        reports = {
+            "serial": run_many(specs, jobs=1, cache=None, arenas="off",
+                               policy=no_retry),
+            "pool": run_many(specs, jobs=2, cache=None, arenas="off",
+                             policy=no_retry),
+            "fabric": run_many(specs, jobs=2, cache=None, arenas="off",
+                               policy=no_retry,
+                               dispatch=self.fabric(("spawn:2",))),
+        }
+        errors = {}
+        for name, report in reports.items():
+            assert report.dispatch == name
+            assert len(report.failures) == len(specs), \
+                f"{name}: the watchdog never tripped"
+            errors[name] = [o.error for o in report.outcomes]
+        assert all("WedgeError" in e for e in errors["serial"])
+        assert errors["pool"] == errors["serial"]
+        assert errors["fabric"] == errors["serial"]
+
+    def test_ephemeral_round_trip(self):
+        spec = tiny_spec(check=True, watchdog_cycles=7,
+                         watchdog_node_cycles=9)
+        plain = JobSpec.from_dict(spec.to_dict())
+        assert plain.params.check is False
+        assert plain.params.watchdog_cycles == 0
+        assert JobSpec.from_dict(spec.to_dict(), spec.ephemeral()) == spec
+        assert spec.fingerprint() == tiny_spec().fingerprint()
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,26 @@
-"""Fast execution backend: byte-identity and scheduling properties.
+"""Main loop: the certified-skip predicate against the always-due oracle.
 
-The ``fast`` backend (``SystemParams.backend``) replaces the uniform
-cycle grid of ``Machine.run`` with certified tick skipping; its whole
-contract is *instruction-for-instruction equivalence* with the
-reference loop.  These tests pin that contract:
+``Machine.run`` ticks a core at a grid point only when it is *due*; a
+private, test-only switch (``Machine._always_due``) makes every core due
+at every grid point instead.  That dense walk is the reference oracle:
+the skip loop's whole contract is instruction-for-instruction
+equivalence with it.  These tests pin that contract:
 
 * results (``SimulationResult.to_dict``) and full machine snapshots are
   byte-identical across workloads, consistency models, SMT, in-order
   cores and chunked runs;
 * the forward-progress watchdog trips at the identical cycle with the
-  identical classification on both backends (``now`` never skips past
-  a pending watchdog deadline);
+  identical classification in both modes (``now`` never skips past a
+  pending watchdog deadline);
 * checkpoint-interval boundaries land on the same retired-instruction
-  counts with the same ``now`` and byte-identical snapshots (``now``
-  never skips past a pending checkpoint boundary);
-* sanitized runs (``check=True``) decline the fast path -- the
-  invariant checker's wrappers assume every core is polled every grid
-  cycle;
-* ``backend`` stays out of job fingerprints: identical results must
-  share cache entries.
+  counts with the same ``now`` and byte-identical snapshots, and a
+  checkpoint taken in one mode resumes in the other;
+* sanitized runs (``check=True``) run the same skip loop, silently, and
+  produce the unsanitized result.
 """
 
 import dataclasses
+import warnings
 from collections import OrderedDict, deque
 
 import pytest
@@ -29,10 +28,11 @@ import pytest
 from repro.core.experiment import assemble_result
 from repro.core.workloads import dss_workload, oltp_workload, \
     tpcc_workload
-from repro.cpu.core import WindowEntry
+from repro.cpu.core import ProcessorCore, WindowEntry
 from repro.params import ConsistencyImpl, ConsistencyModel, \
     default_system
-from repro.run.jobs import JobSpec, WorkloadSpec
+from repro.run import checkpoint as ckpt
+from repro.run.checkpoint import state_digest
 from repro.system.machine import Machine, WedgeError
 
 
@@ -70,16 +70,20 @@ def canon(obj):
             sorted(((k, canon(v)) for k, v in attrs.items()), key=repr))
 
 
-def build_machine(params, workload, seed=0):
+def build_machine(params, workload, seed=0, dense=False):
+    """A fresh machine; ``dense`` selects the always-due oracle."""
     # WindowEntry uids are a process-global counter; reset so snapshots
     # of sequentially built machines compare equal.
     WindowEntry._next_uid = 0
-    return Machine(params, workload.generators(params.n_nodes,
-                                               seed=seed))
+    machine = Machine(params, workload.generators(params.n_nodes,
+                                                  seed=seed))
+    machine._always_due = dense
+    return machine
 
 
-def one_run(params, workload, instr, warmup, seed=0, chunks=None):
-    m = build_machine(params, workload, seed)
+def one_run(params, workload, instr, warmup, seed=0, chunks=None,
+            dense=False):
+    m = build_machine(params, workload, seed, dense)
     if warmup:
         m.run(warmup)
         m.reset_stats()
@@ -94,14 +98,14 @@ def one_run(params, workload, instr, warmup, seed=0, chunks=None):
     return res.to_dict(), canon(m.snapshot())
 
 
-def assert_identical(params, workload, instr=2500, warmup=1000, seed=0,
-                     chunks=None):
-    ref = one_run(params.replace(backend="reference"), workload, instr,
-                  warmup, seed, chunks)
-    fast = one_run(params.replace(backend="fast"), workload, instr,
-                   warmup, seed, chunks)
-    assert ref[0] == fast[0], "results diverged between backends"
-    assert ref[1] == fast[1], "snapshots diverged between backends"
+def assert_identical(params, workload_factory, instr=2500, warmup=1000,
+                     seed=0, chunks=None):
+    dense = one_run(params, workload_factory(), instr, warmup, seed,
+                    chunks, dense=True)
+    skip = one_run(params, workload_factory(), instr, warmup, seed,
+                   chunks)
+    assert dense[0] == skip[0], "results diverged between modes"
+    assert dense[1] == skip[1], "snapshots diverged between modes"
 
 
 BASE = default_system()
@@ -139,24 +143,51 @@ MATRIX = [
 @pytest.mark.parametrize("name,params,workload,kw",
                          MATRIX, ids=[m[0] for m in MATRIX])
 def test_backend_identity(name, params, workload, kw):
-    assert_identical(params, workload(), **kw)
+    """The skip loop is byte-identical to the always-due oracle."""
+    assert_identical(params, workload, **kw)
+
+
+def _count_ticks(monkeypatch):
+    """Count ProcessorCore.tick calls (patched on the class, so machines
+    built afterwards -- and checker wrappers -- see the counter)."""
+    calls = [0]
+    original = ProcessorCore.tick
+
+    def tick(self, now):
+        calls[0] += 1
+        return original(self, now)
+    monkeypatch.setattr(ProcessorCore, "tick", tick)
+    return calls
+
+
+def test_oracle_ticks_every_core_at_every_grid_point(monkeypatch):
+    """The oracle is not vacuous: it ticks strictly more often than the
+    skip loop, which must still land on the same final cycle."""
+    calls = _count_ticks(monkeypatch)
+    counts, nows = {}, {}
+    for dense in (True, False):
+        calls[0] = 0
+        m = build_machine(BASE, oltp_workload(), dense=dense)
+        m.run(1500)
+        counts[dense], nows[dense] = calls[0], m.now
+    assert nows[True] == nows[False]
+    assert counts[False] < counts[True]
 
 
 # ----------------------------------------------- watchdog equivalence
 
 def test_watchdog_trips_at_identical_cycle():
     """A wedged single-node run trips the watchdog at the same cycle
-    with the same classification on both backends: skip-ahead never
-    jumps past a pending watchdog deadline."""
+    with the same classification in both modes: skip-ahead never jumps
+    past a pending watchdog deadline."""
     params = BASE.replace(n_nodes=1, mesh_width=1, watchdog_cycles=40)
     trips = {}
-    for backend in ("reference", "fast"):
-        m = build_machine(params.replace(backend=backend),
-                          oltp_workload())
+    for dense in (True, False):
+        m = build_machine(params, oltp_workload(), dense=dense)
         with pytest.raises(WedgeError) as err:
             m.run(4000)
-        trips[backend] = err.value.to_dict()
-    assert trips["reference"] == trips["fast"]
+        trips[dense] = err.value.to_dict()
+    assert trips[True] == trips[False]
 
 
 # ---------------------------------------------- checkpoint boundaries
@@ -164,12 +195,11 @@ def test_watchdog_trips_at_identical_cycle():
 def test_checkpoint_boundaries_identical():
     """Interval-chunked runs (the ``--checkpoint-every`` driver loop)
     stop at the same retired counts with the same ``now`` and
-    byte-identical snapshots on both backends."""
+    byte-identical snapshots in both modes."""
     every, target = 600, 3000
     states = {}
-    for backend in ("reference", "fast"):
-        m = build_machine(BASE.replace(backend=backend),
-                          oltp_workload())
+    for dense in (True, False):
+        m = build_machine(BASE, oltp_workload(), dense=dense)
         boundaries = []
         total = m.total_retired()
         while total < target:
@@ -177,57 +207,68 @@ def test_checkpoint_boundaries_identical():
             m.run(min(boundary, target) - total)
             total = m.total_retired()
             boundaries.append((total, m.now, canon(m.snapshot())))
-        states[backend] = boundaries
-    ref, fast = states["reference"], states["fast"]
-    assert len(ref) == len(fast)
-    for (r_total, r_now, r_snap), (f_total, f_now, f_snap) in \
-            zip(ref, fast):
-        assert r_total == f_total, \
+        states[dense] = boundaries
+    oracle, skip = states[True], states[False]
+    assert len(oracle) == len(skip)
+    for (o_total, o_now, o_snap), (s_total, s_now, s_snap) in \
+            zip(oracle, skip):
+        assert o_total == s_total, \
             "checkpoint boundary hit a different retired count"
-        assert r_now == f_now, \
+        assert o_now == s_now, \
             "machine time diverged at a checkpoint boundary"
-        assert r_snap == f_snap, \
+        assert o_snap == s_snap, \
             "snapshot diverged at a checkpoint boundary"
 
 
-# ----------------------------------------------------- backend gating
+@pytest.mark.parametrize("take,resume", [("dense", "skip"),
+                                         ("skip", "dense")])
+def test_cross_mode_checkpoint_resume(take, resume):
+    """A checkpoint taken in one mode resumes in the other to a
+    byte-identical final state (checkpoints are mode-agnostic)."""
+    target = 3600
+    baseline = build_machine(BASE, oltp_workload(), dense=True)
+    baseline.run(target)
 
-def test_sanitized_runs_decline_fast(monkeypatch):
-    """check=True keeps the reference loop: the sanitizer's wrappers
-    assume every core is polled every grid cycle."""
-    def boom(self, instructions, max_cycles):
-        raise AssertionError("fast path used under the sanitizer")
-    monkeypatch.setattr(Machine, "_run_fast", boom)
-    params = BASE.replace(backend="fast", check=True,
-                          n_nodes=1, mesh_width=1)
-    m = build_machine(params, oltp_workload())
-    m.run(300)  # must not hit the patched fast path
+    first = build_machine(BASE, oltp_workload(), dense=take == "dense")
+    first.run(1500)
+    payload = {"machine": first.snapshot(),
+               "trace_offsets": first.trace_consumed()}
+    resumed = ckpt._rebuild_machine(BASE, oltp_workload(), 0, payload)
+    resumed._always_due = resume == "dense"
+    assert resumed.total_retired() == first.total_retired()
+    resumed.run(target - resumed.total_retired())
 
-
-def test_fast_backend_is_dispatched(monkeypatch):
-    calls = []
-    original = Machine._run_fast
-
-    def spy(self, instructions, max_cycles):
-        calls.append(instructions)
-        return original(self, instructions, max_cycles)
-    monkeypatch.setattr(Machine, "_run_fast", spy)
-    m = build_machine(BASE.replace(backend="fast"), oltp_workload())
-    m.run(300)
-    assert calls, "backend='fast' never reached _run_fast"
+    assert state_digest(resumed) == state_digest(baseline)
+    assert resumed.now == baseline.now
+    assert canon(resumed.snapshot()) == canon(baseline.snapshot())
 
 
-def test_backend_validation():
-    with pytest.raises(ValueError):
-        BASE.replace(backend="warp")
+# ------------------------------------------------------ sanitized runs
 
-
-def test_backend_is_ephemeral_for_fingerprints():
-    """Byte-identical results must share result-cache entries."""
-    ref = JobSpec(BASE.replace(backend="reference"),
-                  WorkloadSpec("oltp"), instructions=1000, warmup=0,
-                  seed=0)
-    fast = JobSpec(BASE.replace(backend="fast"),
-                   WorkloadSpec("oltp"), instructions=1000, warmup=0,
-                   seed=0)
-    assert ref.fingerprint() == fast.fingerprint()
+def test_sanitized_runs_use_the_skip_loop(monkeypatch):
+    """check=True runs the production loop: no fallback warning, fewer
+    ticks than the always-due oracle makes (and than cycles x nodes),
+    and the same result as the unsanitized run."""
+    calls = _count_ticks(monkeypatch)
+    instr, warmup = 1500, 500
+    counts, results, cycles = {}, {}, {}
+    for label, check, dense in (("oracle", False, True),
+                                ("plain", False, False),
+                                ("sanitized", True, False)):
+        calls[0] = 0
+        m = build_machine(BASE.replace(check=check), oltp_workload(),
+                          dense=dense)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m.run(warmup)
+            m.reset_stats()
+            measured = m.run(instr)
+        if check:
+            assert m.checker is not None and m.checker.checks > 0
+        counts[label], cycles[label] = calls[0], m.now
+        results[label] = assemble_result(m, "oltp", measured,
+                                         instr).to_dict()
+    assert counts["sanitized"] < counts["oracle"]
+    assert counts["sanitized"] < cycles["sanitized"] * BASE.n_nodes
+    assert counts["sanitized"] == counts["plain"]
+    assert results["sanitized"] == results["plain"] == results["oracle"]

@@ -83,14 +83,15 @@ class TestBatchPayload:
         monkeypatch.setenv("REPRO_FAULTS", "crash:0.5,seed:7")
         spec = _spec()
         payload = forkserver.make_batch_payload(
-            spec.to_dict(), [(spec.to_dict(), 1, None)])
+            spec.to_dict(), [(spec.to_dict(), 1, None, spec.ephemeral())])
         assert payload["faults"] == "crash:0.5,seed:7"
 
     def test_execute_batch_runs_jobs(self):
         spec_a, spec_b = _spec(seed=0), _spec(seed=1)
         payload = forkserver.make_batch_payload(
             spec_a.to_dict(),
-            [(spec_a.to_dict(), 1, None), (spec_b.to_dict(), 1, None)])
+            [(spec_a.to_dict(), 1, None, spec_a.ephemeral()),
+             (spec_b.to_dict(), 1, None, spec_b.ephemeral())])
         out = forkserver._execute_batch(payload)
         assert [entry["ok"] for entry in out] == [True, True]
         assert out[0]["result"] == spec_a.run().to_dict()
@@ -101,7 +102,8 @@ class TestBatchPayload:
         bad = good.to_dict()
         bad["workload"]["kind"] = "no-such-workload"
         payload = forkserver.make_batch_payload(
-            good.to_dict(), [(bad, 1, None), (good.to_dict(), 1, None)])
+            good.to_dict(), [(bad, 1, None, good.ephemeral()),
+                            (good.to_dict(), 1, None, good.ephemeral())])
         out = forkserver._execute_batch(payload)
         assert out[0]["ok"] is False and out[0]["error"]
         assert out[1]["ok"] is True

@@ -1,4 +1,4 @@
-"""Tests for the whole-program contract passes (R010/R011/R012),
+"""Tests for the whole-program contract passes (R010/R011),
 the E001 syntax-error diagnostic, report formats, baselines and the
 static teeth test."""
 
@@ -202,8 +202,8 @@ class TestR011EphemeralPurity:
         violations = _lint_sources(tmp_path, {"system/machine.py": """
             class Machine:
                 def run(self, until):
-                    backend = self.params.backend
-                    return backend
+                    budget = self.params.watchdog_cycles
+                    return budget
             """})
         assert violations == []
 
@@ -226,7 +226,7 @@ class TestR011EphemeralPurity:
     def test_pragma_escape(self, tmp_path):
         violations = _lint_sources(tmp_path, {"run/helper.py": """
             def helper(params):
-                return params.backend  # repro-lint: disable=R011
+                return params.check  # repro-lint: disable=R011
             """})
         assert violations == []
 
@@ -236,21 +236,19 @@ class TestR011EphemeralPurity:
                 check: bool = False
                 watchdog_cycles: int = 0
                 watchdog_node_cycles: int = 0
-                backend: str = "reference"
             """})
         assert _codes(violations) == ["R011"]
         assert "EPHEMERAL_FIELDS" in violations[0].message
 
     def test_params_py_registry_must_match(self, tmp_path):
         violations = _lint_sources(tmp_path, {"params.py": """
-            EPHEMERAL_FIELDS = frozenset({"check", "backend"})
+            EPHEMERAL_FIELDS = frozenset({"check", "watchdog_cycles"})
 
 
             class SystemParams:
                 check: bool = False
                 watchdog_cycles: int = 0
                 watchdog_node_cycles: int = 0
-                backend: str = "reference"
             """})
         assert _codes(violations) == ["R011"]
 
@@ -261,97 +259,6 @@ class TestR011EphemeralPurity:
 
         assert repro.params.EPHEMERAL_FIELDS == EPHEMERAL_REGISTRY
         assert repro.params_io._EPHEMERAL == EPHEMERAL_REGISTRY
-
-
-class TestR012BackendSurfaces:
-    def test_fast_only_write_flagged(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"core.py": """
-            class ProcessorCore:
-                def tick(self, now):
-                    self.count = now
-
-                def tick_fast(self, now):
-                    self.count = now
-                    self.extra = 1
-
-                def settle(self, now):
-                    pass
-            """})
-        assert _codes(violations) == ["R012"]
-        assert "'extra'" in violations[0].message
-
-    def test_reference_only_write_flagged(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"core.py": """
-            class ProcessorCore:
-                def tick(self, now):
-                    self.count = now
-                    self.only_ref = 1
-
-                def tick_fast(self, now):
-                    self.count = now
-
-                def settle(self, now):
-                    pass
-            """})
-        assert _codes(violations) == ["R012"]
-        assert "'only_ref'" in violations[0].message
-
-    def test_settle_completes_the_fast_surface(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"core.py": """
-            class ProcessorCore:
-                def tick(self, now):
-                    self.count = now
-                    self.gap = 0
-
-                def tick_fast(self, now):
-                    self.count = now
-
-                def settle(self, now):
-                    self.gap = 0
-            """})
-        assert violations == []
-
-    def test_alias_resolved_dotted_write(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"core.py": """
-            class ProcessorCore:
-                def tick(self, now):
-                    self.storebuf.flag = True
-
-                def tick_fast(self, now):
-                    sb = self.storebuf
-                    sb.flag = True
-
-                def settle(self, now):
-                    pass
-            """})
-        assert violations == []
-
-    def test_allowed_certification_scratch(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"core.py": """
-            class ProcessorCore:
-                def tick(self, now):
-                    self.count = now
-
-                def tick_fast(self, now):
-                    self.count = now
-                    self.tick_quiet = True
-                    self.storebuf.drain_activity = False
-
-                def settle(self, now):
-                    pass
-            """})
-        assert violations == []
-
-    def test_other_class_names_not_audited(self, tmp_path):
-        violations = _lint_sources(tmp_path, {"core.py": """
-            class SomethingElse:
-                def tick(self, now):
-                    self.count = now
-
-                def tick_fast(self, now):
-                    pass
-            """})
-        assert violations == []
 
 
 class TestSyntaxErrorDiagnostic:
@@ -468,10 +375,11 @@ class TestStaticTeeth:
         assert missed == [], [str(r) for r in missed]
 
     def test_result_format(self):
-        results = run_static_teeth_test(["fast-only-write"])
+        results = run_static_teeth_test(["main-loop-attribute-chain"])
         assert len(results) == 1
-        assert str(results[0]).startswith("[DETECTED] fast-only-write")
-        assert "R012" in results[0].detail
+        assert str(results[0]).startswith(
+            "[DETECTED] main-loop-attribute-chain")
+        assert "R007" in results[0].detail
 
     def test_real_tree_is_clean(self):
         violations, checked = lint_paths([default_lint_root()])
