@@ -90,6 +90,10 @@ _STORE_OPS = frozenset((OP_STORE, OP_LOCK_REL))
 _FU_CLASS = {OP_FP: 1, OP_LOAD: 2, OP_STORE: 2, OP_LOCK_ACQ: 2,
              OP_LOCK_REL: 2, OP_PREFETCH: 2, OP_FLUSH: 2}
 _EXCLUSIVE_OPS = frozenset((OP_STORE, OP_LOCK_REL, OP_LOCK_ACQ))
+_ALU_OPS = frozenset((OP_INT, OP_FP))
+# Ops that retire through the store buffer, a fence or a flush.
+_RETIRE_SPECIAL_OPS = frozenset((OP_MB, OP_WMB, OP_STORE, OP_LOCK_REL,
+                                 OP_FLUSH))
 
 FAR_FUTURE = 1 << 60
 MISPREDICT_RESTART = 3   # pipeline restart after a resolved misprediction
@@ -102,23 +106,37 @@ class WindowEntry:
                  "category", "tlb_miss", "retry_at", "prefetched",
                  "mispredicted", "uid")
 
-    _next_uid = 0  # tie-breaker: heap tuples may compare entries whose
-                   # seqs collide across context switches
-
-    def __init__(self, seq: int, instr):
+    def __init__(self, seq: int, instr, uid: int, state: int = ST_WAIT,
+                 pending: int = 0):
         self.seq = seq
         self.instr = instr
-        self.uid = WindowEntry._next_uid
-        WindowEntry._next_uid += 1
-        self.state = ST_WAIT
+        # Heap tie-breaker, unique within the owning core: heap tuples may
+        # compare entries whose seqs collide across context switches.
+        self.uid = uid
+        self.state = state
         self.done_at = 0
-        self.pending = 0
+        self.pending = pending
         self.dependents: List[int] = []
         self.category = CAT_L1_HIT
         self.tlb_miss = False
         self.retry_at = 0
         self.prefetched = False
         self.mispredicted = False
+
+
+def _live_head(heap: List, entries: Dict[int, "WindowEntry"]):
+    """The oldest live ``(seq, uid, entry)`` of a ready heap, or None.
+
+    Stale heads -- squashed entries, or entries no longer READY -- are
+    popped on the way (lazy cleanup).
+    """
+    while heap:
+        item = heap[0]
+        entry = item[2]
+        if entry.state == ST_READY and entries.get(item[0]) is entry:
+            return item
+        heapq.heappop(heap)
+    return None
 
 
 class TraceBuffer:
@@ -199,8 +217,12 @@ class ProcessorCore:
         self._trace: Optional[TraceBuffer] = None
         self._entries: Dict[int, WindowEntry] = {}
         self._window: deque = deque()
-        self._ready: List = []       # heap of (seq, entry)
-        self._completions: List = []  # heap of (done_at, seq, entry)
+        # Ready entries, one heap of (seq, uid, entry) per FU class
+        # (int+branch, fp, agu): issue never pops an entry whose class has
+        # no units left this cycle.  Out-of-order cores only.
+        self._ready: List[List] = [[], [], []]
+        self._completions: List = []  # heap of (done_at, uid, entry)
+        self._next_uid = 0           # WindowEntry.uid counter
         self._memq: List[int] = []
         self._next_seq = 0
         self._inorder_ptr = 0
@@ -228,6 +250,8 @@ class ProcessorCore:
         self._issue_width = self.proc.issue_width
         self._window_size = self.proc.window_size
         self._out_of_order = self.proc.out_of_order
+        self._max_spec_branches = self.proc.max_spec_branches
+        self._mem_queue_size = self.proc.mem_queue_size
         if self.proc.infinite_functional_units:
             big = 1 << 30
             self._fu_template = [big, big, big]
@@ -318,6 +342,7 @@ class ProcessorCore:
             "entries": dc(self._entries, memo),
             "window": dc(self._window, memo),
             "ready": dc(self._ready, memo),
+            "next_uid": self._next_uid,
             "completions": dc(self._completions, memo),
             "memq": list(self._memq),
             "next_seq": self._next_seq,
@@ -355,6 +380,7 @@ class ProcessorCore:
         self._entries = state["entries"]
         self._window = state["window"]
         self._ready = state["ready"]
+        self._next_uid = state["next_uid"]
         self._completions = state["completions"]
         self._memq = list(state["memq"])
         self._next_seq = state["next_seq"]
@@ -424,11 +450,12 @@ class ProcessorCore:
             sb_event = None  # drain() on an empty buffer returns None
         if self._out_of_order:
             ready = self._ready
-            if ready:
-                n_ready = len(ready)
+            n_ready = len(ready[0]) + len(ready[1]) + len(ready[2])
+            if n_ready:
                 self._issue_ooo(now)
-                if self._issue_wake == 1 or len(ready) != n_ready:
-                    active = True
+                if self._issue_wake == 1 or n_ready != \
+                        len(ready[0]) + len(ready[1]) + len(ready[2]):
+                    active = True  # issued, or lazy cleanup popped heaps
             else:
                 self._issue_wake = 0  # what _issue_ooo computes when idle
         else:
@@ -437,18 +464,8 @@ class ProcessorCore:
             if self._issue_wake == 1 or self._inorder_ptr != ptr:
                 active = True
         if now >= self._fetch_blocked_until and \
-                len(self._window) < self._window_size:
-            trace = self._trace
-            consumed = trace._base + len(trace._buf)
-            seq = self._next_seq
-            blocked = self._fetch_blocked_until
-            line = self._cur_fetch_line
-            self._fetch(now)
-            if self._next_seq != seq or \
-                    self._fetch_blocked_until != blocked or \
-                    self._cur_fetch_line != line or \
-                    trace._base + len(trace._buf) != consumed:
-                active = True
+                len(self._window) < self._window_size and self._fetch(now):
+            active = True
         window = self._window
         if self.shared is not None:
             # SMT retire bandwidth interacts with sibling contexts; take
@@ -501,137 +518,193 @@ class ProcessorCore:
 
     # ------------------------------------------------------------------ fetch
 
-    def _fetch(self, now: int) -> None:
+    def _fetch(self, now: int) -> bool:
+        """Fetch up to the fetch width and dispatch into the window.
+
+        Returns True when the pass changed any state (an instruction
+        pulled from the trace source, an I-cache line looked up, an
+        instruction dispatched) -- tick() uses this to certify no-op
+        ticks.
+        """
         if now < self._fetch_blocked_until:
-            return
+            return False
         trace = self._trace
+        buf = trace._buf
         window = self._window
-        limit = self._window_size
+        entries = self._entries
+        ready = self._ready if self._out_of_order else None
+        memsys = self.memsys
+        line_shift = memsys.line_shift
         shared = self.shared
         slots = self._issue_width if shared is None \
             else shared.fetch_slots
-        while slots > 0 and len(window) < limit:
-            instr = trace.get(self._next_seq)
-            line = instr.pc >> self.memsys.line_shift
-            if line != self._cur_fetch_line:
-                ready_at, _cat = self.memsys.access_instr(now, instr.pc)
-                self._cur_fetch_line = line
+        room = min(slots, self._window_size - len(window))
+        seq = self._next_seq
+        uid = self._next_uid
+        base = trace._base
+        fetch_line = self._cur_fetch_line
+        dispatched = 0
+        changed = False
+        while dispatched < room:
+            idx = seq - base
+            if idx < len(buf):
+                instr = buf[idx]  # refetch after a squash or switch
+            else:
+                instr = trace.get(seq)  # pulls from the source
+                changed = True
+            line = instr.pc >> line_shift
+            if line != fetch_line:
+                changed = True
+                ready_at, _cat = memsys.access_instr(now, instr.pc)
+                fetch_line = line
                 if ready_at > now:
                     self._fetch_blocked_until = ready_at
                     self._fetch_block_instr = True
-                    return
-            if instr.op == OP_BRANCH and (
-                    self._unresolved_branches >=
-                    self.proc.max_spec_branches):
-                return
-            if instr.op in _MEMQ_OPS and \
-                    self._mem_inflight >= self.proc.mem_queue_size:
-                return  # no load/store-queue slot; wake on retirement
-            entry = self._dispatch(instr, now)
-            self.memsys.l1i_accesses += 1  # per-reference I-miss rates
-            self._next_seq += 1
-            slots -= 1
-            if shared is not None:
-                shared.fetch_slots -= 1
-            if instr.op == OP_BRANCH:
+                    break
+            op = instr.op
+            if op == OP_BRANCH and \
+                    self._unresolved_branches >= self._max_spec_branches:
+                break
+            is_mem = op in _MEMQ_OPS
+            if is_mem and self._mem_inflight >= self._mem_queue_size:
+                break  # no load/store-queue slot; wake on retirement
+
+            # Dispatch: link to in-flight producers and enter the window.
+            pending = 0
+            for distance in instr.deps:
+                producer = entries.get(seq - distance)
+                if producer is not None and producer.state != ST_DONE:
+                    pending += 1
+                    producer.dependents.append(seq)
+            if op in _ORDERING_OPS:
+                # Ordering is enforced at retirement.
+                entry = WindowEntry(seq, instr, uid, ST_DONE, pending)
+            elif pending:
+                entry = WindowEntry(seq, instr, uid, ST_WAIT, pending)
+            else:
+                entry = WindowEntry(seq, instr, uid, ST_READY)
+                if ready is not None:
+                    heapq.heappush(ready[_FU_CLASS.get(op, 0)],
+                                   (seq, uid, entry))
+            uid += 1
+            entries[seq] = entry
+            window.append(entry)
+            if is_mem:
+                self._mem_inflight += 1
+                if op in _LOAD_OPS:
+                    self.consistency.note_dispatch(seq, is_load=True)
+                elif self._sc_mode:
+                    self.consistency.note_dispatch(seq, is_load=False)
+            seq += 1
+            dispatched += 1
+            if op == OP_BRANCH:
                 self._unresolved_branches += 1
-                if instr.bp_outcome is None:
-                    instr.bp_outcome = self.bpred.observe(
+                mispredicted = instr.bp_outcome
+                if mispredicted is None:
+                    mispredicted = instr.bp_outcome = self.bpred.observe(
                         instr.pc, instr.branch_kind, instr.taken,
                         instr.target)
-                mispredicted = instr.bp_outcome
                 if instr.taken:
-                    self._cur_fetch_line = -1  # redirect re-checks the line
+                    fetch_line = -1  # the redirect re-checks the line
                 if mispredicted:
                     entry.mispredicted = True
                     self._fetch_blocked_until = FAR_FUTURE
                     self._fetch_block_instr = False
-                    return
-
-    def _dispatch(self, instr, now: int) -> WindowEntry:
-        seq = self._next_seq
-        entry = WindowEntry(seq, instr)
-        entries = self._entries
-        for distance in instr.deps:
-            producer = entries.get(seq - distance)
-            if producer is not None and producer.state != ST_DONE:
-                entry.pending += 1
-                producer.dependents.append(seq)
-        entries[seq] = entry
-        self._window.append(entry)
-
-        op = instr.op
-        if op in _MEMQ_OPS:
-            self._mem_inflight += 1
-        if op in _ORDERING_OPS:
-            entry.state = ST_DONE  # ordering enforced at retirement
-        elif entry.pending == 0:
-            entry.state = ST_READY
-            heapq.heappush(self._ready, (seq, entry.uid, entry))
-        if op in _LOAD_OPS:
-            self.consistency.note_dispatch(seq, is_load=True)
-        elif op in _STORE_OPS and self._sc_mode:
-            self.consistency.note_dispatch(seq, is_load=False)
-        return entry
+                    break
+        self._cur_fetch_line = fetch_line
+        if dispatched:
+            self._next_seq = seq
+            self._next_uid = uid
+            memsys.l1i_accesses += dispatched  # per-reference I-miss rates
+            if shared is not None:
+                shared.fetch_slots -= dispatched
+            return True
+        return changed
 
     # ------------------------------------------------------------------ issue
 
-    def _fu_budget(self) -> List[int]:
-        """[int+branch, fp, agu] slots for this cycle.
-
-        Under SMT this is the *shared* pool object itself, so units a
-        context consumes are gone for its siblings this cycle.
-        """
-        if self.shared is not None:
-            return self.shared.fu
-        return self._fu_template.copy()
-
-    def _fu_class(self, op: int) -> int:
-        return _FU_CLASS.get(op, 0)
-
     def _issue_ooo(self, now: int) -> None:
-        slots = self._issue_width if self.shared is None \
-            else self.shared.issue_slots
-        fu = self._fu_budget()
-        skipped = []
-        ready = self._ready
+        """Issue the oldest ready instructions that have a functional unit.
+
+        Each step issues the oldest live head among the FU classes with
+        units left, which is program order restricted to issuable
+        entries.  A class that runs dry is no longer consulted, so its
+        entries wait in their heap instead of being popped and re-pushed.
+        Stale heads (squashed entries) are dropped lazily.
+        """
+        shared = self.shared
+        if shared is None:
+            slots = self._issue_width
+            fu = self._fu_template.copy()
+        else:
+            # The shared pools: units a context takes are gone for its
+            # siblings this cycle.
+            slots = shared.issue_slots
+            fu = shared.fu
+        heaps = self._ready
+        if slots <= 0:
+            # SMT siblings used every issue slot: poll again next cycle.
+            self._issue_wake = 1 if heaps[0] or heaps[1] or heaps[2] else 0
+            return
         entries = self._entries
-        fu_class = _FU_CLASS.get
+        completions = self._completions
         heappop, heappush = heapq.heappop, heapq.heappush
+        h0 = _live_head(heaps[0], entries) if fu[0] > 0 else None
+        h1 = _live_head(heaps[1], entries) if fu[1] > 0 else None
+        h2 = _live_head(heaps[2], entries) if fu[2] > 0 else None
         issued = 0
-        fu_starved = False
-        while ready and slots > 0:
-            seq, _uid, entry = heappop(ready)
-            if entries.get(seq) is not entry or \
-                    entry.state != ST_READY:
-                continue  # stale (squashed or already handled)
-            cls = fu_class(entry.instr.op, 0)
-            if fu[cls] <= 0:
-                fu_starved = True
-                skipped.append((seq, entry.uid, entry))
-                continue
+        while True:
+            best, cls = h0, 0
+            if h1 is not None and (best is None or h1[0] < best[0]):
+                best, cls = h1, 1
+            if h2 is not None and (best is None or h2[0] < best[0]):
+                best, cls = h2, 2
+            if best is None:
+                break
+            heap = heaps[cls]
+            heappop(heap)
             fu[cls] -= 1
-            slots -= 1
+            entry = best[2]
+            entry.state = ST_EXEC
+            done_at = now + entry.instr.latency
+            entry.done_at = done_at
+            heappush(completions, (done_at, best[1], entry))
             issued += 1
-            if self.shared is not None:
-                self.shared.issue_slots -= 1
-            self._start_execution(entry, now)
-        for item in skipped:
-            heappush(ready, item)
+            slots -= 1
+            if slots == 0:
+                break
+            head = _live_head(heap, entries) if fu[cls] > 0 else None
+            if cls == 0:
+                h0 = head
+            elif cls == 1:
+                h1 = head
+            else:
+                h2 = head
+        if shared is not None:
+            shared.issue_slots = slots
         # Wake classification for skip-ahead: FU budgets replenish every
         # cycle, so FU starvation (or remaining issue-bandwidth demand)
         # needs a next-cycle tick; otherwise wakes are event-driven.
-        if issued or fu_starved or (ready and slots == 0):
-            self._issue_wake = 1   # poll next cycle
+        if issued:
+            self._issue_wake = 1
+        elif (fu[0] <= 0 and _live_head(heaps[0], entries) is not None) or \
+                (fu[1] <= 0 and _live_head(heaps[1], entries) is not None) \
+                or (fu[2] <= 0 and
+                    _live_head(heaps[2], entries) is not None):
+            self._issue_wake = 1   # ready but FU-starved
         else:
             self._issue_wake = 0   # nothing ready
 
     def _issue_inorder(self, now: int) -> None:
         """Issue strictly in program order; stall at the first instruction
         whose operands are not ready (the paper's in-order model)."""
-        slots = self._issue_width if self.shared is None \
-            else self.shared.issue_slots
-        fu = self._fu_budget()
+        shared = self.shared
+        if shared is None:
+            slots = self._issue_width
+            fu = self._fu_template.copy()
+        else:
+            slots = shared.issue_slots
+            fu = shared.fu
         entries = self._entries
         seq = self._inorder_ptr
         issued = 0
@@ -650,40 +723,44 @@ class ProcessorCore:
                 continue
             if entry.state != ST_READY:
                 break  # data dependence: in-order issue stalls here
-            cls = self._fu_class(entry.instr.op)
+            cls = _FU_CLASS.get(entry.instr.op, 0)
             if fu[cls] <= 0:
                 self._issue_wake = 1   # fresh units next cycle
                 break
             fu[cls] -= 1
             slots -= 1
             issued += 1
-            if self.shared is not None:
-                self.shared.issue_slots -= 1
-            self._start_execution(entry, now)
+            if shared is not None:
+                shared.issue_slots -= 1
+            entry.state = ST_EXEC
+            done_at = now + entry.instr.latency
+            entry.done_at = done_at
+            heapq.heappush(self._completions, (done_at, entry.uid, entry))
             seq += 1
             self._inorder_ptr = seq
         if issued:
             self._issue_wake = 1
-
-    def _start_execution(self, entry: WindowEntry, now: int) -> None:
-        entry.state = ST_EXEC
-        entry.done_at = now + entry.instr.latency
-        heapq.heappush(self._completions,
-                       (entry.done_at, entry.uid, entry))
 
     # ------------------------------------------------------------------ completion
 
     def _process_completions(self, now: int) -> None:
         completions = self._completions
         entries = self._entries
+        heappop = heapq.heappop
         while completions and completions[0][0] <= now:
-            _t, _uid, entry = heapq.heappop(completions)
+            entry = heappop(completions)[2]
             seq = entry.seq
             if entries.get(seq) is not entry:
                 continue  # squashed
-            if entry.state == ST_EXEC:
-                self._finish_execution(entry, now)
-            elif entry.state == ST_MEMACC:
+            state = entry.state
+            if state == ST_EXEC:
+                if entry.instr.op in _ALU_OPS:
+                    entry.state = ST_DONE
+                    if entry.dependents:
+                        self._wake_dependents(entry)
+                else:
+                    self._finish_execution(entry, now)
+            elif state == ST_MEMACC:
                 entry.state = ST_DONE
                 self.consistency.note_complete(seq)
                 self._wake_dependents(entry)
@@ -722,6 +799,7 @@ class ProcessorCore:
 
     def _wake_dependents(self, entry: WindowEntry) -> None:
         entries = self._entries
+        ready = self._ready if self._out_of_order else None
         for dseq in entry.dependents:
             dep = entries.get(dseq)
             if dep is None or dep.pending == 0:
@@ -729,7 +807,9 @@ class ProcessorCore:
             dep.pending -= 1
             if dep.pending == 0 and dep.state == ST_WAIT:
                 dep.state = ST_READY
-                heapq.heappush(self._ready, (dseq, dep.uid, dep))
+                if ready is not None:
+                    heapq.heappush(ready[_FU_CLASS.get(dep.instr.op, 0)],
+                                   (dseq, dep.uid, dep))
 
     # ------------------------------------------------------------------ memory queue
 
@@ -813,16 +893,14 @@ class ProcessorCore:
     # ------------------------------------------------------------------ retire
 
     def _retire(self, now: int) -> None:
+        shared = self.shared
         width = self._issue_width
-        if self.shared is not None:
-            width = min(width, self.shared.retire_slots)
+        if shared is not None:
+            width = min(width, shared.retire_slots)
         retired = 0
         stall_category: Optional[int] = None
         window = self._window
         entries = self._entries
-        consistency = self.consistency
-        trace = self._trace
-        stats = self.stats
         while retired < width:
             if not window:
                 if now < self._fetch_blocked_until:
@@ -835,37 +913,41 @@ class ProcessorCore:
             if entry.state != ST_DONE:
                 stall_category = self._classify_stall(entry)
                 break
-            op = entry.instr.op
-            if op == OP_MB and not self.storebuf.empty:
-                stall_category = SYNC
-                break
-            if op in (OP_STORE, OP_LOCK_REL) and not self._sc_mode:
-                if op == OP_LOCK_REL:
-                    self.lock_table.pop(entry.instr.addr, None)
-                if not self.storebuf.push_store(entry.instr.addr,
-                                                entry.instr.pc):
-                    stall_category = WRITE
+            instr = entry.instr
+            op = instr.op
+            if op in _RETIRE_SPECIAL_OPS:
+                if op == OP_MB and not self.storebuf.empty:
+                    stall_category = SYNC
                     break
-            elif op == OP_LOCK_REL:  # SC: already performed in order
-                self.lock_table.pop(entry.instr.addr, None)
-            elif op == OP_WMB:
-                self.storebuf.push_barrier()
-            elif op == OP_FLUSH:
-                self.memsys.flush_line(now, entry.instr.addr)
+                if op == OP_LOCK_REL:
+                    # SC: already performed in order; PC/RC: the release
+                    # drops the lock before the store enters the buffer.
+                    self.lock_table.pop(instr.addr, None)
+                if op in _STORE_OPS and not self._sc_mode:
+                    if not self.storebuf.push_store(instr.addr, instr.pc):
+                        stall_category = WRITE
+                        break
+                elif op == OP_WMB:
+                    self.storebuf.push_barrier()
+                elif op == OP_FLUSH:
+                    self.memsys.flush_line(now, instr.addr)
             window.popleft()
-            del entries[entry.seq]
+            seq = entry.seq
+            del entries[seq]
             if op in _MEMQ_OPS:
+                # Only memory ops are tracked by the consistency unit.
                 self._mem_inflight -= 1
-            consistency.note_removed(entry.seq)
-            trace.release_through(entry.seq)
+                self.consistency.note_removed(seq)
             retired += 1
-            self.retired += 1
-            stats.instructions += 1
-            if self.shared is not None:
-                self.shared.retire_slots -= 1
             if op == OP_SYSCALL:
                 self.syscall_retired = True
                 break
+        if retired:
+            self._trace.release_through(seq)
+            self.retired += retired
+            self.stats.instructions += retired
+            if shared is not None:
+                shared.retire_slots -= retired
         # Busy fraction is measured against the full machine width so
         # SMT contexts' breakdowns sum like the paper's per-CPU bars.
         machine_width = self._issue_width
@@ -905,7 +987,7 @@ class ProcessorCore:
             del entries[entry.seq]
             if entry.instr.op in _MEMQ_OPS:
                 self._mem_inflight -= 1
-            self.consistency.note_removed(entry.seq)
+                self.consistency.note_removed(entry.seq)
             if entry.instr.op == OP_BRANCH and entry.state != ST_DONE:
                 self._unresolved_branches -= 1
         self._memq = [s for s in self._memq if s < seq]

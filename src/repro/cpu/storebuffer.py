@@ -101,10 +101,16 @@ class StoreBuffer:
         if not self._entries:
             return None
 
-        outstanding = sum(1 for e in self._entries
-                          if e.issued and e.done_at > now)
-        next_event = min((e.done_at for e in self._entries
-                          if e.issued and e.done_at > now), default=None)
+        # Stores in flight and the earliest of their completions.
+        outstanding = 0
+        next_event = None
+        for e in self._entries:
+            if e.issued:
+                done_at = e.done_at
+                if done_at > now:
+                    outstanding += 1
+                    if next_event is None or done_at < next_event:
+                        next_event = done_at
 
         for e in self._entries:
             if e.is_barrier:

@@ -62,8 +62,10 @@ from repro.run.jobs import MODEL_VERSION, JobSpec
 from repro.system.machine import Machine
 from repro.trace.arena import ArenaError, TraceArena, _RecordingWorkload
 
-#: On-disk checkpoint file format version.
-CHECKPOINT_FORMAT = 1
+#: On-disk checkpoint file format version.  Bumped with the machine's
+#: SNAPSHOT_FORMAT, so a checkpoint written by an older simulator is
+#: quarantined (cold start) instead of failing every resume attempt.
+CHECKPOINT_FORMAT = 2
 
 MAGIC = b"RPCKPT01"
 

@@ -22,7 +22,6 @@ from repro.cpu.core import (
     ST_MEMACC,
     ST_MEMQ,
     ProcessorCore,
-    WindowEntry,
 )
 from repro.cpu.smt import SmtCore
 from repro.mem.coherence import CoherentMemory
@@ -38,7 +37,7 @@ from repro.trace.instr import OP_LOCK_ACQ, OP_NAMES
 
 #: Version stamp embedded in Machine.snapshot() payloads; bump whenever
 #: the captured state shape changes incompatibly.
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 
 #: Exclusive-ownership transfers on a single line, with no instruction
 #: retiring anywhere, before the watchdog calls it a coherence livelock.
@@ -134,15 +133,19 @@ class Machine:
 
     # ---------------------------------------------------------------- schedule
 
-    def _dispatch_if_idle(self, cpu: int) -> None:
+    def _dispatch_if_idle(self, cpu: int) -> bool:
+        """Seat ready processes on free slots; True if any was seated."""
         core = self.cores[cpu]
+        seated = False
         for _ in range(core.free_slots()):
             process = self.schedulers[cpu].pick_ready(self.now)
             if process is None:
-                return
+                break
             core.assign_process(
                 process, self.now,
                 switch_cost=self.params.scheduler.context_switch_cycles)
+            seated = True
+        return seated
 
     def _handle_syscall(self, cpu: int) -> None:
         core = self.cores[cpu]
@@ -201,7 +204,8 @@ class Machine:
         # core reported, whether that wake is certified (the core may be
         # skipped until then), the retired count last observed (for an
         # incremental machine-wide total), and the cached earliest wake
-        # of each scheduler (only a cpu's own tick can change it).
+        # of each scheduler (refreshed after a dispatch or a blocking
+        # syscall on that cpu, the only events that change it).
         wake = [now] * len(cores)
         quiet = [False] * len(cores)
         retired_seen = [core.retired for core in cores]
@@ -260,10 +264,14 @@ class Machine:
                         if t < next_time:
                             next_time = t
                         continue
-                dispatch_if_idle(cpu)
+                # A run queue changes only when a process is seated or
+                # blocks, so its cached wake is refreshed only then.
+                if (smt or core.process is None) and dispatch_if_idle(cpu):
+                    sched_wake[cpu] = schedulers[cpu].earliest_wake()
                 t = core.tick(now)
                 if core.syscall_retired:
                     handle_syscall(cpu)
+                    sched_wake[cpu] = schedulers[cpu].earliest_wake()
                     t = now + 1
                     quiet[cpu] = False
                 else:
@@ -273,7 +281,6 @@ class Machine:
                 if r != retired_seen[cpu]:
                     total_now += r - retired_seen[cpu]
                     retired_seen[cpu] = r
-                sched_wake[cpu] = schedulers[cpu].earliest_wake()
                 if t < next_time:
                     next_time = t
             for cpu, core in indexed_cores:
@@ -387,7 +394,6 @@ class Machine:
             "schedulers": [s.snapshot(memo) for s in self.schedulers],
             "nodes": [nd.snapshot(memo) for nd in self.nodes],
             "cores": [c.snapshot(memo) for c in self.cores],
-            "next_uid": WindowEntry._next_uid,
         }
 
     def restore(self, state: Dict[str, object]) -> None:
@@ -427,12 +433,6 @@ class Machine:
             node.restore(sub)
         for core, sub in zip(self.cores, state["cores"]):
             core.restore(sub, by_pid)
-        # Monotonic tie-breaker: future entries must sort after every
-        # restored one; other machines in this interpreter may have pushed
-        # the class counter further, which is fine (only relative order
-        # within one core's heaps matters).
-        if state["next_uid"] > WindowEntry._next_uid:
-            WindowEntry._next_uid = state["next_uid"]
 
     def trace_consumed(self) -> List[int]:
         """Per-pid count of instructions already pulled from each trace

@@ -16,14 +16,16 @@ because tags are resolved only at final emission.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
-from typing import Iterator, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.trace.codewalk import CodeWalker
 from repro.trace.instr import (
     OP_BRANCH,
     OP_FP,
     OP_INT,
+    OP_LOAD,
+    OP_STORE,
     Instruction,
 )
 
@@ -71,44 +73,45 @@ def assemble(semantics: Iterator[SemanticOp], walker: CodeWalker,
     streaming behaviour) of the workload.
     """
     lo, hi = block_instrs
-    tag_pos: "OrderedDict[int, int]" = OrderedDict()
+    # Tag -> dynamic index of its producer.  Eviction drops the oldest
+    # insertions first (dicts keep insertion order).
+    tag_pos: Dict[int, int] = {}
+    evict_at = 4 * MAX_DEP_DISTANCE
     index = 0
     # Block boundaries are deterministic in the starting PC so branch
     # sites are stable static locations (predictors can learn them).
     remaining = walker.block_len_at(walker.pc, lo, hi)
 
-    def record(tag: Optional[int]) -> None:
-        if tag is None:
-            return
-        tag_pos[tag] = index
-        if len(tag_pos) > 4 * MAX_DEP_DISTANCE:
-            for _ in range(MAX_DEP_DISTANCE):
-                tag_pos.popitem(last=False)
-
     for sop in semantics:
-        if sop.fixed_pc is None and remaining <= 0:
-            desc = walker.end_block()
-            yield Instruction(OP_BRANCH, desc.pc, taken=desc.taken,
-                              target=desc.target, branch_kind=desc.kind)
-            index += 1
-            remaining = walker.block_len_at(walker.pc, lo, hi)
-
-        if sop.fixed_pc is not None:
-            pc = sop.fixed_pc
-        else:
+        pc = sop.fixed_pc
+        if pc is None:
+            if remaining <= 0:
+                desc = walker.end_block()
+                yield Instruction(OP_BRANCH, desc.pc, 0, (), 1, desc.taken,
+                                  desc.target, desc.kind)
+                index += 1
+                remaining = walker.block_len_at(walker.pc, lo, hi)
             pc = walker.block(1)[0]
             remaining -= 1
 
-        deps = []
-        for tag in sop.dep_tags:
-            pos = tag_pos.get(tag)
-            if pos is not None:
-                distance = index - pos
-                if 0 < distance <= MAX_DEP_DISTANCE:
-                    deps.append(distance)
-        record(sop.tag)
-        yield Instruction(sop.op, pc, addr=sop.addr, deps=tuple(deps),
-                          latency=sop.latency)
+        deps = ()
+        if sop.dep_tags:
+            found = []
+            for tag in sop.dep_tags:
+                pos = tag_pos.get(tag)
+                if pos is not None:
+                    distance = index - pos
+                    if 0 < distance <= MAX_DEP_DISTANCE:
+                        found.append(distance)
+            if found:
+                deps = tuple(found)
+        tag = sop.tag
+        if tag is not None:
+            tag_pos[tag] = index
+            if len(tag_pos) > evict_at:
+                for old in list(islice(tag_pos, MAX_DEP_DISTANCE)):
+                    del tag_pos[old]
+        yield Instruction(sop.op, pc, sop.addr, deps, sop.latency)
         index += 1
 
 
@@ -123,24 +126,19 @@ class SemanticHelpers:
             fixed_pc: Optional[int] = None) -> Tuple[SemanticOp, int]:
         """An ALU op producing a new value; returns (op, result tag)."""
         tag = self._tags.new()
-        op = SemanticOp(OP_FP if fp else OP_INT, dep_tags=dep_tags,
-                        latency=3 if fp else 1, tag=tag, fixed_pc=fixed_pc)
+        op = SemanticOp(OP_FP if fp else OP_INT, 0, dep_tags,
+                        3 if fp else 1, tag, fixed_pc)
         return op, tag
 
     def load(self, addr: int, dep_tags: Sequence[int] = (),
              fixed_pc: Optional[int] = None) -> Tuple[SemanticOp, int]:
         """A load producing a value; returns (op, result tag)."""
-        from repro.trace.instr import OP_LOAD
         tag = self._tags.new()
-        op = SemanticOp(OP_LOAD, addr=addr, dep_tags=dep_tags, tag=tag,
-                        fixed_pc=fixed_pc)
-        return op, tag
+        return SemanticOp(OP_LOAD, addr, dep_tags, 1, tag, fixed_pc), tag
 
     def store(self, addr: int, dep_tags: Sequence[int] = (),
               fixed_pc: Optional[int] = None) -> SemanticOp:
-        from repro.trace.instr import OP_STORE
-        return SemanticOp(OP_STORE, addr=addr, dep_tags=dep_tags,
-                          fixed_pc=fixed_pc)
+        return SemanticOp(OP_STORE, addr, dep_tags, 1, None, fixed_pc)
 
     def simple(self, op_kind: int, addr: int = 0,
                fixed_pc: Optional[int] = None,

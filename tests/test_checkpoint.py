@@ -9,6 +9,7 @@ DSS, comparing cycles, full breakdowns, and the architectural state
 digest (cache tags in LRU order, directory, lock table).
 """
 
+import pickle
 import random
 
 import pytest
@@ -213,6 +214,20 @@ class TestRoundTripProperty:
         assert state_digest(restored) == state_digest(machine)
         assert restored.now == machine.now
         assert restored.total_retired() == machine.total_retired()
+
+    @pytest.mark.parametrize("kind", ["oltp", "dss"])
+    def test_identical_runs_pickle_identically(self, kind):
+        """Two identical runs in one interpreter write the same snapshot
+        bytes: nothing process-global (such as a window-entry uid
+        counter) leaks into the checkpoint, so a reused pool worker
+        writes the same checkpoint for the same job."""
+        blobs = []
+        for _ in range(2):
+            machine = Machine(small_params(),
+                              WORKLOADS[kind]().generators(2, seed=0))
+            machine.run(3000)
+            blobs.append(pickle.dumps(machine.snapshot()))
+        assert blobs[0] == blobs[1]
 
     def test_corrupt_newest_checkpoint_resumes_from_older(self, tmp_path):
         """A torn newest checkpoint falls back to the previous one and

@@ -1,16 +1,24 @@
 """Detailed core-pipeline tests: trace buffer, squash, structural limits."""
 
 import dataclasses
+import heapq
 import itertools
 
 import pytest
 
-from repro.cpu.core import TraceBuffer
+from repro.cpu.core import (
+    _FU_CLASS,
+    ST_EXEC,
+    ST_READY,
+    TraceBuffer,
+    WindowEntry,
+)
 from repro.params import default_system
 from repro.system.machine import Machine
 from repro.trace.instr import (
     BR_COND,
     OP_BRANCH,
+    OP_FP,
     OP_INT,
     OP_LOAD,
     OP_MB,
@@ -163,3 +171,98 @@ class TestRollbackMechanics:
         # Simulation continues cleanly after the squash.
         m.run(500)
         assert m.total_retired() >= 1000
+
+
+class TestIssueOutOfOrder:
+    """``_issue_ooo`` on a hand-built window: one ready heap per FU class
+    (int+branch, fp, agu), oldest-first across classes."""
+
+    def _core(self, ops, smt=False, width=None):
+        """A core whose window holds READY entries ``(seq, op)``."""
+        params = default_system(n_nodes=1, mesh_width=1)
+        proc = params.processor
+        if smt:
+            proc = dataclasses.replace(proc, smt_contexts=2)
+        if width is not None:
+            proc = dataclasses.replace(proc, issue_width=width)
+        machine = Machine(params.replace(processor=proc), [iter(())])
+        core = machine.cores[0]
+        if smt:
+            core.shared.refresh(0)
+            core = core.contexts[0]
+        for seq, op in ops:
+            entry = WindowEntry(seq, Instruction(op, CODE + 4 * seq),
+                                uid=seq)
+            entry.state = ST_READY
+            core._entries[seq] = entry
+            heapq.heappush(core._ready[_FU_CLASS.get(op, 0)],
+                           (seq, entry.uid, entry))
+        return core
+
+    @staticmethod
+    def _issued(core):
+        return sorted(seq for seq, e in core._entries.items()
+                      if e.state == ST_EXEC)
+
+    def test_oldest_first_across_classes(self):
+        core = self._core([(5, OP_INT), (1, OP_FP), (3, OP_LOAD)],
+                          width=2)
+        core._issue_ooo(0)
+        assert self._issued(core) == [1, 3]
+        assert core._issue_wake == 1
+
+    def test_starved_class_is_skipped_not_popped(self):
+        """Two FP units: the third FP waits in its heap, untouched, while
+        younger int and agu ops take the remaining slots."""
+        core = self._core([(0, OP_FP), (1, OP_FP), (2, OP_FP),
+                           (3, OP_INT), (4, OP_LOAD), (5, OP_INT)])
+        fp_heap = core._ready[1]
+        core._issue_ooo(0)
+        assert self._issued(core) == [0, 1, 3, 4]
+        assert [item[0] for item in fp_heap] == [2]
+        assert [item[0] for item in core._ready[0]] == [5]
+        assert core._issue_wake == 1
+
+    def test_stale_heads_dropped(self):
+        core = self._core([(0, OP_INT), (1, OP_INT), (2, OP_INT)])
+        del core._entries[0]   # squashed
+        core._issue_ooo(0)
+        assert self._issued(core) == [1, 2]
+        assert core._ready == [[], [], []]
+
+    def test_nothing_ready_is_event_driven(self):
+        core = self._core([(0, OP_INT)])
+        del core._entries[0]
+        core._issue_ooo(0)
+        assert core._issue_wake == 0
+        assert core._ready == [[], [], []]
+
+    def test_fu_starved_with_nothing_issued_polls(self):
+        """An SMT sibling took every FP unit this cycle: nothing issues,
+        but the starved entry needs a tick next cycle."""
+        core = self._core([(0, OP_FP), (1, OP_FP)], smt=True)
+        core.shared.fu[1] = 0
+        core._issue_ooo(0)
+        assert self._issued(core) == []
+        assert core._issue_wake == 1
+        assert core.shared.issue_slots == 4
+
+    def test_smt_issue_slots_exhausted(self):
+        core = self._core([(0, OP_INT)], smt=True)
+        core.shared.issue_slots = 0
+        core._issue_ooo(0)
+        assert self._issued(core) == []
+        assert core._issue_wake == 1
+        empty = self._core([], smt=True)
+        empty.shared.issue_slots = 0
+        empty._issue_ooo(0)
+        assert empty._issue_wake == 0
+
+    def test_smt_pools_are_shared(self):
+        """Units and slots a context takes are gone for its siblings."""
+        core = self._core([(0, OP_FP), (1, OP_FP), (2, OP_INT)],
+                          smt=True)
+        core._issue_ooo(0)
+        assert self._issued(core) == [0, 1, 2]
+        assert core.shared.fu == [1, 0, 2]
+        assert core.shared.issue_slots == 1

@@ -8,7 +8,9 @@ equivalence with it.  These tests pin that contract:
 
 * results (``SimulationResult.to_dict``) and full machine snapshots are
   byte-identical across workloads, consistency models, SMT, in-order
-  cores and chunked runs;
+  cores, unlimited functional units and chunked runs;
+* every result matches a recorded golden digest, so a change that moves
+  the skip loop and the oracle together still fails;
 * the forward-progress watchdog trips at the identical cycle with the
   identical classification in both modes (``now`` never skips past a
   pending watchdog deadline);
@@ -20,6 +22,9 @@ equivalence with it.  These tests pin that contract:
 """
 
 import dataclasses
+import functools
+import hashlib
+import json
 import warnings
 from collections import OrderedDict, deque
 
@@ -28,7 +33,7 @@ import pytest
 from repro.core.experiment import assemble_result
 from repro.core.workloads import dss_workload, oltp_workload, \
     tpcc_workload
-from repro.cpu.core import ProcessorCore, WindowEntry
+from repro.cpu.core import ProcessorCore
 from repro.params import ConsistencyImpl, ConsistencyModel, \
     default_system
 from repro.run import checkpoint as ckpt
@@ -72,9 +77,6 @@ def canon(obj):
 
 def build_machine(params, workload, seed=0, dense=False):
     """A fresh machine; ``dense`` selects the always-due oracle."""
-    # WindowEntry uids are a process-global counter; reset so snapshots
-    # of sequentially built machines compare equal.
-    WindowEntry._next_uid = 0
     machine = Machine(params, workload.generators(params.n_nodes,
                                                   seed=seed))
     machine._always_due = dense
@@ -98,14 +100,10 @@ def one_run(params, workload, instr, warmup, seed=0, chunks=None,
     return res.to_dict(), canon(m.snapshot())
 
 
-def assert_identical(params, workload_factory, instr=2500, warmup=1000,
-                     seed=0, chunks=None):
-    dense = one_run(params, workload_factory(), instr, warmup, seed,
-                    chunks, dense=True)
-    skip = one_run(params, workload_factory(), instr, warmup, seed,
-                   chunks)
-    assert dense[0] == skip[0], "results diverged between modes"
-    assert dense[1] == skip[1], "snapshots diverged between modes"
+def result_digest(result: dict) -> str:
+    """First 16 hex digits of the sha256 of the sorted-key result JSON."""
+    text = json.dumps(result, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 BASE = default_system()
@@ -113,6 +111,8 @@ _SMT2 = BASE.replace(processor=dataclasses.replace(
     BASE.processor, smt_contexts=2))
 _INORDER = BASE.replace(processor=dataclasses.replace(
     BASE.processor, out_of_order=False))
+_INFINITE_FU = BASE.replace(processor=dataclasses.replace(
+    BASE.processor, infinite_functional_units=True))
 
 MATRIX = [
     ("oltp", BASE, oltp_workload, {}),
@@ -137,14 +137,61 @@ MATRIX = [
     ("oltp-watchdog-armed", BASE.replace(
         watchdog_cycles=200000, watchdog_node_cycles=150000),
         oltp_workload, {}),
+    ("dss-smt2", _SMT2, dss_workload, {}),
+    ("dss-inorder", _INORDER, dss_workload, {}),
+    ("dss-infinite-fu", _INFINITE_FU, dss_workload, {}),
 ]
+CELLS = {m[0]: m[1:] for m in MATRIX}
+
+#: ``result_digest`` of each cell (2500 measured + 1000 warmup
+#: instructions, seed 0), recorded from the simulator before its
+#: per-instruction hot path was restructured (per-FU-class ready heaps,
+#: inlined fetch/dispatch/issue/retire).  Valid while MODEL_VERSION is 2.
+GOLDEN = {
+    "oltp": "4d7e58958114aead",
+    "dss": "22af69504253e266",
+    "tpcc": "2b8deefb492018c5",
+    "oltp-inorder": "e64b045b36379018",
+    "oltp-smt2": "65d76f066e70ca21",
+    "oltp-sc": "226e2946e2bf1e9e",
+    "oltp-pc-prefetch": "e33855345cb4a4c8",
+    "oltp-rc-spec": "32a8e460f123017f",
+    "oltp-chunked": "4d7e58958114aead",
+    "oltp-watchdog-armed": "4d7e58958114aead",
+    "dss-smt2": "89487ce04dbdbcb2",
+    "dss-inorder": "798f57614debf5d9",
+    "dss-infinite-fu": "11ea31c763d70fec",
+}
 
 
-@pytest.mark.parametrize("name,params,workload,kw",
-                         MATRIX, ids=[m[0] for m in MATRIX])
-def test_backend_identity(name, params, workload, kw):
+@functools.lru_cache(maxsize=None)
+def cell_runs(name):
+    """(always-due, skip) runs of one matrix cell, each a (result dict,
+    snapshot digest) pair; cached so the identity and golden tests share
+    one simulation per mode."""
+    params, workload_factory, kw = CELLS[name]
+    runs = []
+    for dense in (True, False):
+        result, snapshot = one_run(params, workload_factory(), 2500, 1000,
+                                   0, kw.get("chunks"), dense=dense)
+        digest = hashlib.sha256(repr(snapshot).encode()).hexdigest()
+        runs.append((result, digest))
+    return tuple(runs)
+
+
+@pytest.mark.parametrize("name", CELLS)
+def test_backend_identity(name):
     """The skip loop is byte-identical to the always-due oracle."""
-    assert_identical(params, workload, **kw)
+    dense, skip = cell_runs(name)
+    assert dense[0] == skip[0], "results diverged between modes"
+    assert dense[1] == skip[1], "snapshots diverged between modes"
+
+
+@pytest.mark.parametrize("name", CELLS)
+def test_golden_result_digest(name):
+    """Both modes reproduce the recorded result, not just each other."""
+    for result, _snapshot in cell_runs(name):
+        assert result_digest(result) == GOLDEN[name]
 
 
 def _count_ticks(monkeypatch):

@@ -1,6 +1,9 @@
 """Tests for the post-retirement store buffer drain policies."""
 
-from repro.cpu.storebuffer import StoreBuffer
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cpu.storebuffer import StoreBuffer, _BufferedStore
 from repro.mem.memsys import MemResult
 
 
@@ -139,3 +142,95 @@ class TestRetry:
         sb.push_store(0x100, 0)
         sb.reset()
         assert sb.empty
+
+
+def brute_force_drain(sb, now):
+    """Reference drain: the front pops, then separate full scans for the
+    outstanding count and the earliest completion, then the issue pass
+    (the formulation the one-pass drain replaced)."""
+    entries = sb._entries
+    while entries:
+        head = entries[0]
+        if head.is_barrier or (head.issued and head.done_at <= now):
+            entries.popleft()
+            continue
+        break
+    if not entries:
+        return None
+    outstanding = sum(1 for e in entries if e.issued and e.done_at > now)
+    next_event = min((e.done_at for e in entries
+                      if e.issued and e.done_at > now), default=None)
+    for e in entries:
+        if e.is_barrier:
+            if outstanding:
+                break
+            continue
+        if e.issued:
+            continue
+        if outstanding >= sb.overlap:
+            if sb.wants_prefetch and not e.prefetched:
+                sb.memsys.prefetch_data(now, e.addr, exclusive=True,
+                                        pc=e.pc)
+                e.prefetched = True
+            break
+        if e.retry_at > now:
+            next_event = e.retry_at if next_event is None else \
+                min(next_event, e.retry_at)
+            break
+        result = sb.memsys.access_data(now, e.addr, is_write=True,
+                                       pc=e.pc)
+        if result.stalled:
+            e.retry_at = result.retry_at
+            next_event = result.retry_at if next_event is None else \
+                min(next_event, result.retry_at)
+            break
+        e.issued = True
+        e.done_at = result.done_at
+        outstanding += 1
+        next_event = e.done_at if next_event is None else \
+            min(next_event, e.done_at)
+    return next_event
+
+
+_STORE = st.tuples(st.booleans(),                  # barrier
+                   st.booleans(),                  # issued
+                   st.integers(0, 60),             # done_at
+                   st.integers(0, 60),             # retry_at
+                   st.booleans())                  # prefetched
+
+
+class TestOnePassDrain:
+    @settings(max_examples=300, deadline=None)
+    @given(stores=st.lists(_STORE, max_size=12),
+           now=st.integers(0, 60),
+           overlap=st.integers(1, 8),
+           wants_prefetch=st.booleans(),
+           latency=st.integers(1, 40),
+           stall_until=st.one_of(st.none(), st.integers(0, 80)))
+    def test_matches_brute_force_scan(self, stores, now, overlap,
+                                      wants_prefetch, latency,
+                                      stall_until):
+        """Same next event, same stores issued and prefetched, same
+        final buffer, over arbitrary issued / done_at / retry_at /
+        barrier mixes."""
+        buffers = []
+        for _ in range(2):
+            mem = FakeMemsys(latency)
+            mem.stall_until = stall_until
+            sb = StoreBuffer(16, mem, overlap=overlap,
+                             wants_prefetch=wants_prefetch)
+            for i, (barrier, issued, done_at, retry_at, prefetched) \
+                    in enumerate(stores):
+                e = _BufferedStore(0x100 * (i + 1), 4 * i,
+                                   is_barrier=barrier)
+                e.issued = issued and not barrier
+                e.done_at = done_at
+                e.retry_at = retry_at
+                e.prefetched = prefetched
+                sb._entries.append(e)
+            buffers.append(sb)
+        fast, slow = buffers
+        assert fast.drain(now) == brute_force_drain(slow, now)
+        assert fast.memsys.accesses == slow.memsys.accesses
+        assert fast.memsys.prefetches == slow.memsys.prefetches
+        assert fast.snapshot() == slow.snapshot()
