@@ -41,12 +41,20 @@ class ConsistencyUnit:
     Ordering queries reduce to "is there an incomplete memory op (or
     load) older than seq?", answered in O(log n) from lazy min-heaps of
     incomplete seqs -- these queries run for every queued memory op every
-    active cycle, so they must be cheap.
+    active cycle, so they must be cheap.  Only the heap the model reads
+    is maintained: SC orders every memory op, PC orders loads among
+    loads, and RC asks no ordering query at all.
     """
 
     def __init__(self, model: ConsistencyModel, impl: ConsistencyImpl):
         self.model = model
         self.impl = impl
+        #: RC: every load and store may perform at once and no load is
+        #: ever speculative, so the core skips the ordering queries and
+        #: the bookkeeping calls altogether.
+        self.relaxed = model is ConsistencyModel.RC
+        self._orders_mem = model is ConsistencyModel.SC
+        self._orders_loads = model is ConsistencyModel.PC
         self._incomplete_mem: Set[int] = set()
         self._incomplete_loads: Set[int] = set()
         self._mem_heap: List[int] = []
@@ -68,9 +76,10 @@ class ConsistencyUnit:
         self._spec_lines_by_seq.clear()
 
     def note_dispatch(self, seq: int, is_load: bool) -> None:
-        self._incomplete_mem.add(seq)
-        heapq.heappush(self._mem_heap, seq)
-        if is_load:
+        if self._orders_mem:
+            self._incomplete_mem.add(seq)
+            heapq.heappush(self._mem_heap, seq)
+        elif is_load and self._orders_loads:
             self._incomplete_loads.add(seq)
             heapq.heappush(self._load_heap, seq)
 

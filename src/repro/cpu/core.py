@@ -243,6 +243,9 @@ class ProcessorCore:
 
         # SC stores perform from the window, not the store buffer.
         self._sc_mode = params.consistency is ConsistencyModel.SC
+        # Whether the consistency unit orders anything (not RC): under RC
+        # its queries are constant and its bookkeeping is never read.
+        self._ordered = not self.consistency.relaxed
 
         # Hot-path scalars hoisted out of the frozen params dataclasses so
         # per-tick code does flat attribute reads instead of chasing
@@ -591,10 +594,8 @@ class ProcessorCore:
             window.append(entry)
             if is_mem:
                 self._mem_inflight += 1
-                if op in _LOAD_OPS:
-                    self.consistency.note_dispatch(seq, is_load=True)
-                elif self._sc_mode:
-                    self.consistency.note_dispatch(seq, is_load=False)
+                if self._ordered:
+                    self.consistency.note_dispatch(seq, op in _LOAD_OPS)
             seq += 1
             dispatched += 1
             if op == OP_BRANCH:
@@ -762,7 +763,8 @@ class ProcessorCore:
                     self._finish_execution(entry, now)
             elif state == ST_MEMACC:
                 entry.state = ST_DONE
-                self.consistency.note_complete(seq)
+                if self._ordered:
+                    self.consistency.note_complete(seq)
                 self._wake_dependents(entry)
 
     def _finish_execution(self, entry: WindowEntry, now: int) -> None:
@@ -828,6 +830,7 @@ class ProcessorCore:
             return False
         changed = False
         unit = self.consistency
+        ordered = self._ordered
         entries = self._entries
         memsys = self.memsys
         still_queued: List[int] = []
@@ -840,7 +843,9 @@ class ProcessorCore:
                 still_queued.append(seq)
                 continue
             op = entry.instr.op
-            if op in _LOAD_OPS:
+            if not ordered:
+                allowed = True
+            elif op in _LOAD_OPS:
                 allowed = unit.may_perform_load(seq)
             else:
                 allowed = unit.may_perform_store(seq)
@@ -883,7 +888,7 @@ class ProcessorCore:
             entry.tlb_miss = result.tlb_miss
             heapq.heappush(self._completions,
                            (entry.done_at, entry.uid, entry))
-            if op == OP_LOAD and unit.load_is_speculative(seq):
+            if ordered and op == OP_LOAD and unit.load_is_speculative(seq):
                 line = self.memsys.page_table.translate_line(
                     entry.instr.addr, self.memsys.line_shift)
                 unit.note_speculative_load(seq, line)
@@ -937,7 +942,8 @@ class ProcessorCore:
             if op in _MEMQ_OPS:
                 # Only memory ops are tracked by the consistency unit.
                 self._mem_inflight -= 1
-                self.consistency.note_removed(seq)
+                if self._ordered:
+                    self.consistency.note_removed(seq)
             retired += 1
             if op == OP_SYSCALL:
                 self.syscall_retired = True
@@ -987,7 +993,8 @@ class ProcessorCore:
             del entries[entry.seq]
             if entry.instr.op in _MEMQ_OPS:
                 self._mem_inflight -= 1
-                self.consistency.note_removed(entry.seq)
+                if self._ordered:
+                    self.consistency.note_removed(entry.seq)
             if entry.instr.op == OP_BRANCH and entry.state != ST_DONE:
                 self._unresolved_branches -= 1
         self._memq = [s for s in self._memq if s < seq]

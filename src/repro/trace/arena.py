@@ -332,9 +332,9 @@ class ArenaStream:
         o = arena._op[i]
         if o == OP_BRANCH:
             m = arena._meta[i]
-            ins = Instruction(o, arena._pc[i], addr=arena._addr[i],
-                              latency=arena._lat[i], taken=bool(m & 4),
-                              target=arena._extra[i], branch_kind=m & 3)
+            ins = Instruction(o, arena._pc[i], arena._addr[i], (),
+                              arena._lat[i], bool(m & 4), arena._extra[i],
+                              m & 3)
         else:
             nd = arena._meta[i] >> 3
             if nd:
@@ -348,8 +348,8 @@ class ArenaStream:
                             (e >> 32) & 0xFFFF)
             else:
                 deps = ()
-            ins = Instruction(o, arena._pc[i], addr=arena._addr[i],
-                              deps=deps, latency=arena._lat[i])
+            ins = Instruction(o, arena._pc[i], arena._addr[i], deps,
+                              arena._lat[i])
         self.pos = i + 1
         return ins
 

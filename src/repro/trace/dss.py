@@ -17,6 +17,11 @@ Published behaviour this generator reproduces:
   overlap under relaxed consistency (paper Figure 3(d)-(g)),
 * predictable loop branches (low misprediction rate) and enough independent
   work per row for an IPC of ~2 on the base processor.
+
+Each scanned row (and each coordinator checkpoint) is one step: its
+instructions are emitted through the process's
+:class:`~repro.trace.emitter.Emitter` and yielded before the next row is
+generated.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from repro.trace.database import (
     PRIVATE_STRIDE,
     DatabaseLayout,
 )
-from repro.trace.emitter import SemanticHelpers, SemanticOp, assemble
+from repro.trace.emitter import Emitter, below_fn
 from repro.trace.instr import OP_LOCK_ACQ, OP_LOCK_REL, OP_MB, OP_SYSCALL, \
     OP_WMB, Instruction
 
@@ -79,7 +84,7 @@ class DssParams:
         )
 
 
-class DssTraceGenerator(SemanticHelpers):
+class DssTraceGenerator:
     """Instruction stream of one DSS (parallel query) server process.
 
     Each process scans its own partition of the table: partitions are
@@ -95,31 +100,33 @@ class DssTraceGenerator(SemanticHelpers):
         self.params = params or DssParams()
         self.n_processes = max(1, n_processes)
         rng = random.Random((seed << 20) ^ (pid * 0x85EBCA77) ^ 0x0D55)
-        super().__init__(rng)
+        self._rng = rng
+        self._below = below_fn(rng)
         self._walker = CodeWalker(
             base=0x0100_0000, code_bytes=self.params.code_bytes, rng=rng,
             hot_fraction=0.9, hot_routines=8,
             hard_branch_fraction=self.params.hard_branch_fraction,
             avg_routine_lines=4,
             call_target_variability=0.02, jump_target_variability=0.05)
+        self._em = Emitter(self._walker, block_instrs=(6, 10))
         self.rows_scanned = 0
         self.batches = 0
         self._agg_cursor = 0
 
     def __iter__(self) -> Iterator[Instruction]:
-        return assemble(self._semantics(), self._walker, self._rng,
-                        block_instrs=(6, 10))
-
-    # -- semantic stream ---------------------------------------------------
-
-    def _semantics(self) -> Iterator[SemanticOp]:
         p = self.params
+        out = self._em.out
         while True:
-            yield from self._scan_batch()
+            for _ in range(p.rows_per_batch):
+                self._row()
+                yield from out
+                out.clear()
             self.batches += 1
             if p.checkpoint_blocks and \
                     self.batches % p.batches_per_checkpoint == 0:
-                yield from self._checkpoint()
+                self._checkpoint()
+                yield from out
+                out.clear()
 
     def _row_addr(self, row_index: int) -> int:
         """Partitioned scan: process p reads pages p, p+N, p+2N, ..."""
@@ -130,99 +137,95 @@ class DssTraceGenerator(SemanticHelpers):
         offset = (virtual_page * 8192 + slot * p.row_bytes)
         return BLOCK_BUFFER_BASE + offset % p.table_bytes
 
-    def _scan_batch(self) -> Iterator[SemanticOp]:
-        p, rng = self.params, self._rng
-        for _ in range(p.rows_per_batch):
-            addr = self._row_addr(self.rows_scanned)
-            self.rows_scanned += 1
+    def _row(self) -> None:
+        """Scan one row: field loads, predicate arithmetic, row work,
+        aggregation updates and (rarely) a result append."""
+        p, em = self.params, self._em
+        random_, below = self._rng.random, self._below
+        load, alu, store = em.load, em.alu, em.store
+        addr = self._row_addr(self.rows_scanned)
+        self.rows_scanned += 1
 
-            # Load the row's fields: shipdate, discount, quantity, price.
-            # Field loads of one row are independent of each other (only the
-            # row pointer feeds them), giving memory parallelism within the
-            # spatially-local line.
-            field_tags = []
-            for field in range(4):
-                op, tag = self.load(addr + field * 2)
-                yield op
-                field_tags.append(tag)
+        # Load the row's fields: shipdate, discount, quantity, price.
+        # Field loads of one row are independent of each other (only the
+        # row pointer feeds them), giving memory parallelism within the
+        # spatially-local line.
+        field_tags = [load(addr + field * 2) for field in range(4)]
 
-            # Predicate and revenue arithmetic: dependence chains are kept
-            # shallow (most ops consume the row's fields directly), so the
-            # ILP is locally available -- a modest instruction window
-            # already extracts it and bigger windows add little, matching
-            # the paper's Figure 3(b) leveling beyond 32 entries.
-            chain_tag, chain_depth = None, 0
-            for i in range(p.compute_per_row):
-                is_fp = rng.random() < p.fp_fraction
-                if chain_tag is not None and chain_depth < 3 and \
-                        rng.random() < 0.3:
-                    srcs = (chain_tag, rng.choice(field_tags))
-                    chain_depth += 1
-                else:
-                    srcs = (rng.choice(field_tags),)
-                    chain_depth = 1
-                op, chain_tag = self.alu(dep_tags=srcs, fp=is_fp)
-                yield op
-            tags = [chain_tag if chain_tag is not None else field_tags[-1]]
+        # Predicate and revenue arithmetic: dependence chains are kept
+        # shallow (most ops consume the row's fields directly), so the
+        # ILP is locally available -- a modest instruction window
+        # already extracts it and bigger windows add little, matching
+        # the paper's Figure 3(b) leveling beyond 32 entries.  Every
+        # ``field_tags[below(4)]`` draws exactly what
+        # ``rng.choice(field_tags)`` draws.
+        fp_fraction = p.fp_fraction
+        chain_tag, chain_depth = None, 0
+        for i in range(p.compute_per_row):
+            is_fp = random_() < fp_fraction
+            if chain_tag is not None and chain_depth < 3 and \
+                    random_() < 0.3:
+                srcs = (chain_tag, field_tags[below(4)])
+                chain_depth += 1
+            else:
+                srcs = (field_tags[below(4)],)
+                chain_depth = 1
+            chain_tag = alu(srcs, is_fp)
+        tags = [chain_tag if chain_tag is not None else field_tags[-1]]
 
-            # Row-processing work: copies, expression temporaries, and
-            # evaluator state on the (L1-resident) private work buffers.
-            # This is what makes Oracle's Q6 compute-intensive per row.
-            for _ in range(p.hot_refs_per_row):
-                off = rng.randrange(self.layout.hot_private_bytes // 8) * 8
-                hot_addr = self.layout.hot_private_addr(self.pid, off)
-                if rng.random() < p.hot_store_fraction:
-                    yield self.store(hot_addr, dep_tags=(tags[-1],))
-                else:
-                    op, tag = self.load(hot_addr)
-                    yield op
-                    tags.append(tag)
-                    if len(tags) > 5:
-                        tags.pop(0)
+        # Row-processing work: copies, expression temporaries, and
+        # evaluator state on the (L1-resident) private work buffers.
+        # This is what makes Oracle's Q6 compute-intensive per row.
+        hot_private_addr = self.layout.hot_private_addr
+        hot_slots = self.layout.hot_private_bytes // 8
+        hot_store_fraction = p.hot_store_fraction
+        for _ in range(p.hot_refs_per_row):
+            hot_addr = hot_private_addr(self.pid, below(hot_slots) * 8)
+            if random_() < hot_store_fraction:
+                store(hot_addr, (tags[-1],))
+            else:
+                tags.append(load(hot_addr))
+                if len(tags) > 5:
+                    tags.pop(0)
 
-            # Aggregation-area accesses (hash/sort buckets): miss L1, hit L2.
-            # The area lives in the upper half of the process's private
-            # window, separate from the generic stack/heap region.
-            n_agg = int(p.agg_accesses_per_row) + (
-                1 if rng.random() < p.agg_accesses_per_row % 1 else 0)
-            for _ in range(n_agg):
-                # Sort/merge runs walk the area sequentially; hash-bucket
-                # updates hit random slots.  The mix covers the working
-                # set quickly (so scaled runs reach steady state) while
-                # keeping the random component.
-                if rng.random() < 0.5:
-                    bucket = self._agg_cursor % p.agg_working_set
-                    self._agg_cursor += 64
-                else:
-                    bucket = rng.randrange(p.agg_working_set // 16) * 16
-                agg_addr = (PRIVATE_BASE + self.pid * PRIVATE_STRIDE
-                            + PRIVATE_STRIDE // 2 + bucket)
-                op, tag = self.load(agg_addr)
-                yield op
-                upd, utag = self.alu(dep_tags=(tag,), fp=True)
-                yield upd
-                yield self.store(agg_addr, dep_tags=(utag,))
+        # Aggregation-area accesses (hash/sort buckets): miss L1, hit L2.
+        # The area lives in the upper half of the process's private
+        # window, separate from the generic stack/heap region.
+        n_agg = int(p.agg_accesses_per_row) + (
+            1 if random_() < p.agg_accesses_per_row % 1 else 0)
+        for _ in range(n_agg):
+            # Sort/merge runs walk the area sequentially; hash-bucket
+            # updates hit random slots.  The mix covers the working
+            # set quickly (so scaled runs reach steady state) while
+            # keeping the random component.
+            if random_() < 0.5:
+                bucket = self._agg_cursor % p.agg_working_set
+                self._agg_cursor += 64
+            else:
+                bucket = below(p.agg_working_set // 16) * 16
+            agg_addr = (PRIVATE_BASE + self.pid * PRIVATE_STRIDE
+                        + PRIVATE_STRIDE // 2 + bucket)
+            tag = load(agg_addr)
+            utag = alu((tag,), True)
+            store(agg_addr, (utag,))
 
-            # Qualifying rows append to a private result scratch buffer.
-            if rng.random() < p.selectivity:
-                for s in range(4):
-                    off = (self.rows_scanned * 16 + s * 8)
-                    yield self.store(self.layout.hot_private_addr(
-                        self.pid, off), dep_tags=(tags[-1],))
+        # Qualifying rows append to a private result scratch buffer.
+        if random_() < p.selectivity:
+            for s in range(4):
+                off = (self.rows_scanned * 16 + s * 8)
+                store(hot_private_addr(self.pid, off), (tags[-1],))
 
-    def _checkpoint(self) -> Iterator[SemanticOp]:
+    def _checkpoint(self) -> None:
         """Rare coordination with the query coordinator (negligible
         locking, matching the paper's DSS characterization)."""
+        em = self._em
         lock = self.layout.lock_addr(self.pid % 4)
-        yield self.simple(OP_LOCK_ACQ, addr=lock)
-        yield self.simple(OP_MB)
-        op, tag = self.load(self.layout.metadata_addr(self.pid * LINE))
-        yield op
-        upd, utag = self.alu(dep_tags=(tag,))
-        yield upd
-        yield self.store(self.layout.metadata_addr(self.pid * LINE),
-                         dep_tags=(utag,))
-        yield self.simple(OP_WMB)
-        yield self.simple(OP_LOCK_REL, addr=lock)
+        em.simple(OP_LOCK_ACQ, addr=lock)
+        em.simple(OP_MB)
+        tag = em.load(self.layout.metadata_addr(self.pid * LINE))
+        utag = em.alu((tag,))
+        em.store(self.layout.metadata_addr(self.pid * LINE), (utag,))
+        em.simple(OP_WMB)
+        em.simple(OP_LOCK_REL, addr=lock)
         if self.params.checkpoint_blocks:
-            yield self.simple(OP_SYSCALL)
+            em.simple(OP_SYSCALL)

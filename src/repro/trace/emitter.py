@@ -1,25 +1,28 @@
-"""Assembly of semantic micro-op streams into full instruction traces.
+"""One-pass instruction emission for the workload generators.
 
 Workload generators describe *what* a process does (loads/stores to the
-database regions, ALU work, locking, commits) as a stream of
-:class:`SemanticOp` records with symbolic dependence *tags*.  The assembler
-then merges that stream with the instruction-fetch behaviour from a
-:class:`~repro.trace.codewalk.CodeWalker` -- assigning PCs, inserting the
-branch instructions that terminate basic blocks, and resolving dependence
-tags into backward dynamic distances.
+database regions, ALU work, locking, commits) by calling an
+:class:`Emitter` once per micro-op.  The emitter merges each op with the
+instruction-fetch behaviour of a :class:`~repro.trace.codewalk.CodeWalker`
+on the spot: it assigns the PC, inserts the branch that ends each basic
+block, resolves dependences into backward dynamic distances and appends
+the finished :class:`Instruction` to :attr:`Emitter.out`.
 
-Separating semantics from assembly keeps dependence bookkeeping correct:
-inserted branches shift dynamic distances, which the assembler accounts for
-because tags are resolved only at final emission.
+A producer's *tag* is its dynamic index in the process's stream, inserted
+branches included, so a dependence distance is simply ``index - tag`` and
+inserted branches shift distances automatically.
+
+The generators and the walker draw from one shared ``random.Random``: the
+stream is a function of the order of those draws, which is why every op
+is emitted at the point where the generator creates it.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import islice
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.trace.codewalk import CodeWalker
+from repro.trace.codewalk import INSTR_BYTES, CodeWalker
 from repro.trace.instr import (
     OP_BRANCH,
     OP_FP,
@@ -34,124 +37,100 @@ from repro.trace.instr import (
 MAX_DEP_DISTANCE = 192
 
 
-class SemanticOp:
-    """One micro-op emitted by a workload generator, pre-assembly."""
+def below_fn(rng: random.Random) -> Callable[[int], int]:
+    """``below(n)``: the value ``rng.randrange(n)`` would return, drawn
+    from the same ``getrandbits`` calls (so the generator state advances
+    identically).  ``seq[below(len(seq))]`` likewise equals
+    ``rng.choice(seq)`` and ``rng.sample(seq, k=1)[0]``."""
+    getrandbits = rng.getrandbits
 
-    __slots__ = ("op", "addr", "dep_tags", "latency", "tag", "fixed_pc")
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
 
-    def __init__(self, op: int, addr: int = 0,
-                 dep_tags: Sequence[int] = (), latency: int = 1,
-                 tag: Optional[int] = None, fixed_pc: Optional[int] = None):
-        self.op = op
-        self.addr = addr
-        self.dep_tags = dep_tags
-        self.latency = latency
-        self.tag = tag
-        self.fixed_pc = fixed_pc
-
-
-class TagAllocator:
-    """Monotonic producer tags used to express dependences symbolically."""
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def new(self) -> int:
-        tag = self._next
-        self._next += 1
-        return tag
+    return below
 
 
-def assemble(semantics: Iterator[SemanticOp], walker: CodeWalker,
-             rng: random.Random,
-             block_instrs: Tuple[int, int] = (4, 7)) -> Iterator[Instruction]:
-    """Merge a semantic stream with the code walk into Instructions.
+class Emitter:
+    """Per-process instruction assembly, called once per micro-op.
 
     Every ``block_instrs``-sized run of sequential PCs is terminated by a
     branch instruction taken from the walker, reproducing the basic-block
     structure (and therefore the branch frequency and instruction-fetch
-    streaming behaviour) of the workload.
+    streaming behaviour) of the workload.  Ops with a ``fixed_pc`` (hot
+    engine routines) neither take a walker PC nor end a block.
+
+    ``load``, ``alu`` and ``tagged`` return the op's tag: its dynamic
+    index, usable in later ``dep_tags``.
     """
-    lo, hi = block_instrs
-    # Tag -> dynamic index of its producer.  Eviction drops the oldest
-    # insertions first (dicts keep insertion order).
-    tag_pos: Dict[int, int] = {}
-    evict_at = 4 * MAX_DEP_DISTANCE
-    index = 0
-    # Block boundaries are deterministic in the starting PC so branch
-    # sites are stable static locations (predictors can learn them).
-    remaining = walker.block_len_at(walker.pc, lo, hi)
 
-    for sop in semantics:
-        pc = sop.fixed_pc
-        if pc is None:
-            if remaining <= 0:
+    __slots__ = ("out", "index", "_walker", "_lo", "_hi", "_remaining")
+
+    def __init__(self, walker: CodeWalker,
+                 block_instrs: Tuple[int, int]) -> None:
+        #: Instructions emitted since the generator last drained it.
+        self.out: List[Instruction] = []
+        #: Dynamic index of the next instruction.
+        self.index = 0
+        self._walker = walker
+        self._lo, self._hi = block_instrs
+        # Block boundaries are deterministic in the starting PC so branch
+        # sites are stable static locations (predictors can learn them).
+        self._remaining = walker.block_len_at(walker.pc, self._lo, self._hi)
+
+    def _emit(self, op: int, addr: int, dep_tags: Sequence[int],
+              latency: int, fixed_pc: Optional[int]) -> int:
+        """Append one op (after its block's branch when one is due);
+        returns its dynamic index."""
+        if fixed_pc is None:
+            walker = self._walker
+            if self._remaining <= 0:
                 desc = walker.end_block()
-                yield Instruction(OP_BRANCH, desc.pc, 0, (), 1, desc.taken,
-                                  desc.target, desc.kind)
-                index += 1
-                remaining = walker.block_len_at(walker.pc, lo, hi)
-            pc = walker.block(1)[0]
-            remaining -= 1
-
+                self.out.append(Instruction(
+                    OP_BRANCH, desc.pc, 0, (), 1, desc.taken, desc.target,
+                    desc.kind))
+                self.index += 1
+                self._remaining = walker.block_len_at(walker.pc, self._lo,
+                                                      self._hi)
+            self._remaining -= 1
+            fixed_pc = walker.pc
+            walker.pc = fixed_pc + INSTR_BYTES
+        index = self.index
         deps = ()
-        if sop.dep_tags:
-            found = []
-            for tag in sop.dep_tags:
-                pos = tag_pos.get(tag)
-                if pos is not None:
-                    distance = index - pos
-                    if 0 < distance <= MAX_DEP_DISTANCE:
-                        found.append(distance)
-            if found:
-                deps = tuple(found)
-        tag = sop.tag
-        if tag is not None:
-            tag_pos[tag] = index
-            if len(tag_pos) > evict_at:
-                for old in list(islice(tag_pos, MAX_DEP_DISTANCE)):
-                    del tag_pos[old]
-        yield Instruction(sop.op, pc, sop.addr, deps, sop.latency)
-        index += 1
-
-
-class SemanticHelpers:
-    """Mixin with emit helpers shared by the workload generators."""
-
-    def __init__(self, rng: random.Random):
-        self._rng = rng
-        self._tags = TagAllocator()
+        for tag in dep_tags:
+            if index - tag <= MAX_DEP_DISTANCE:
+                deps += (index - tag,)
+        self.out.append(Instruction(op, fixed_pc, addr, deps, latency))
+        self.index = index + 1
+        return index
 
     def alu(self, dep_tags: Sequence[int] = (), fp: bool = False,
-            fixed_pc: Optional[int] = None) -> Tuple[SemanticOp, int]:
-        """An ALU op producing a new value; returns (op, result tag)."""
-        tag = self._tags.new()
-        op = SemanticOp(OP_FP if fp else OP_INT, 0, dep_tags,
-                        3 if fp else 1, tag, fixed_pc)
-        return op, tag
+            fixed_pc: Optional[int] = None) -> int:
+        """An ALU op producing a new value; returns its tag."""
+        if fp:
+            return self._emit(OP_FP, 0, dep_tags, 3, fixed_pc)
+        return self._emit(OP_INT, 0, dep_tags, 1, fixed_pc)
 
     def load(self, addr: int, dep_tags: Sequence[int] = (),
-             fixed_pc: Optional[int] = None) -> Tuple[SemanticOp, int]:
-        """A load producing a value; returns (op, result tag)."""
-        tag = self._tags.new()
-        return SemanticOp(OP_LOAD, addr, dep_tags, 1, tag, fixed_pc), tag
+             fixed_pc: Optional[int] = None) -> int:
+        """A load producing a value; returns its tag."""
+        return self._emit(OP_LOAD, addr, dep_tags, 1, fixed_pc)
 
     def store(self, addr: int, dep_tags: Sequence[int] = (),
-              fixed_pc: Optional[int] = None) -> SemanticOp:
-        return SemanticOp(OP_STORE, addr, dep_tags, 1, None, fixed_pc)
+              fixed_pc: Optional[int] = None) -> None:
+        self._emit(OP_STORE, addr, dep_tags, 1, fixed_pc)
 
     def simple(self, op_kind: int, addr: int = 0,
                fixed_pc: Optional[int] = None,
-               dep_tags: Sequence[int] = ()) -> SemanticOp:
+               dep_tags: Sequence[int] = ()) -> None:
         """A non-producing op (locks, fences, syscalls, hints)."""
-        return SemanticOp(op_kind, addr=addr, dep_tags=dep_tags,
-                          fixed_pc=fixed_pc)
+        self._emit(op_kind, addr, dep_tags, 1, fixed_pc)
 
     def tagged(self, op_kind: int, addr: int = 0,
-               fixed_pc: Optional[int] = None
-               ) -> Tuple[SemanticOp, int]:
+               fixed_pc: Optional[int] = None) -> int:
         """A non-ALU op that later ops can order themselves after (e.g. a
         lock acquire that a critical section's prefetch must follow)."""
-        tag = self._tags.new()
-        op = SemanticOp(op_kind, addr=addr, tag=tag, fixed_pc=fixed_pc)
-        return op, tag
+        return self._emit(op_kind, addr, (), 1, fixed_pc)

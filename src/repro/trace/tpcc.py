@@ -35,7 +35,6 @@ from typing import Iterator, Optional
 from repro.trace.database import DatabaseLayout, MigratoryHints
 from repro.trace.instr import OP_SYSCALL, OP_WMB
 from repro.trace.oltp import OltpParams, OltpTraceGenerator
-from repro.trace.emitter import SemanticOp
 
 LINE = 64
 
@@ -76,7 +75,7 @@ class TpccTraceGenerator(OltpTraceGenerator):
                           "order_status": 0, "delivery": 0,
                           "stock_level": 0}
 
-    def _transaction(self) -> Iterator[SemanticOp]:
+    def _transaction(self) -> Iterator[None]:
         t = self.tpcc
         roll = self._rng.random()
         if roll < t.p_new_order:
@@ -93,7 +92,7 @@ class TpccTraceGenerator(OltpTraceGenerator):
         self.tx_counts[kind] += 1
         yield from getattr(self, f"_tx_{kind}")()
 
-    # -- transaction bodies -------------------------------------------------
+    # -- transaction bodies (each yields after every emitted step) ---------
 
     def _warehouse_district(self):
         t, rng = self.tpcc, self._rng
@@ -102,19 +101,21 @@ class TpccTraceGenerator(OltpTraceGenerator):
                     + rng.randrange(t.n_districts_per_warehouse))
         return warehouse, district
 
-    def _tx_new_order(self) -> Iterator[SemanticOp]:
-        p, t, rng = self.params, self.tpcc, self._rng
+    def _tx_new_order(self) -> Iterator[None]:
+        p, t, rng, em = self.params, self.tpcc, self._rng, self._em
         warehouse, district = self._warehouse_district()
         n_lines = rng.randint(t.min_order_lines, t.max_order_lines)
 
         self._phase(0)
-        yield from self._filler(p.txn_filler_ops // 5)
+        self._filler(p.txn_filler_ops // 5)
+        yield
 
         # Next order-id sequence: a contended district structure.
         self._phase(5)
-        yield from self._critical_section(
+        self._critical_section(
             lock_id=t.n_warehouses + district, structure=district,
             hot_prob=p.p_hot_migratory)
+        yield
 
         # Item/stock lookup per order line; order rows accumulate in
         # private buffers, and only every third line dirties a shared
@@ -122,10 +123,13 @@ class TpccTraceGenerator(OltpTraceGenerator):
         for line in range(n_lines):
             self._phase(1 + line % 3)
             item = rng.randrange(100_000)
-            row_tag = yield from self._index_walk(item)
+            row_tag = self._index_walk(item)
+            yield
             if line % 3 == 0:
-                yield from self._block_update(item, row_tag)
-            yield from self._filler(p.txn_filler_ops // 10)
+                self._block_update(item, row_tag)
+                yield
+            self._filler(p.txn_filler_ops // 10)
+            yield
 
         # Order insert (sequential, per-process) + commit.
         self._phase(7)
@@ -133,80 +137,87 @@ class TpccTraceGenerator(OltpTraceGenerator):
         base = (self.pid * partition
                 + (self.transactions_emitted * 16 * 8) % partition)
         for i in range(16):
-            yield self.store(self.layout.history_addr(base + i * 8))
+            em.store(self.layout.history_addr(base + i * 8))
         self._phase(8)
         log_off = self.transactions_emitted * p.log_stores * 8
         for i in range(p.log_stores):
-            yield self.store(self.layout.log_addr(self.pid,
-                                                  log_off + i * 8))
-        yield self.simple(OP_WMB)
+            em.store(self.layout.log_addr(self.pid, log_off + i * 8))
+        em.simple(OP_WMB)
         if p.commit_blocks:
-            yield self.simple(OP_SYSCALL)
+            em.simple(OP_SYSCALL)
+        yield
 
-    def _tx_payment(self) -> Iterator[SemanticOp]:
+    def _tx_payment(self) -> Iterator[None]:
         """Structurally the TPC-B transaction: balance updates under
         warehouse and district locks."""
         yield from super()._transaction()
 
-    def _tx_order_status(self) -> Iterator[SemanticOp]:
-        p, rng = self.params, self._rng
+    def _tx_order_status(self) -> Iterator[None]:
+        p, rng, em = self.params, self._rng, self._em
         self._phase(0)
-        yield from self._filler(p.txn_filler_ops // 6)
+        self._filler(p.txn_filler_ops // 6)
+        yield
         customer = rng.randrange(30_000)
         self._phase(2)
-        row_tag = yield from self._index_walk(customer)
+        row_tag = self._index_walk(customer)
+        yield
         for i in range(3):  # read the most recent order's lines
             self._phase(3)
-            op, row_tag = self.load(
-                self.layout.block_buffer_addr(
-                    (customer * 640 + i * 64)),
-                dep_tags=(row_tag,) if row_tag is not None else ())
-            yield op
-            yield from self._filler(p.txn_filler_ops // 12)
+            row_tag = em.load(
+                self.layout.block_buffer_addr(customer * 640 + i * 64),
+                (row_tag,) if row_tag is not None else ())
+            self._filler(p.txn_filler_ops // 12)
+            yield
         if p.commit_blocks:
-            yield self.simple(OP_SYSCALL)
+            em.simple(OP_SYSCALL)
+        yield
 
-    def _tx_delivery(self) -> Iterator[SemanticOp]:
-        p, t, rng = self.params, self.tpcc, self._rng
+    def _tx_delivery(self) -> Iterator[None]:
+        p, t, em = self.params, self.tpcc, self._em
         warehouse, district = self._warehouse_district()
         self._phase(0)
-        yield from self._filler(p.txn_filler_ops // 8)
+        self._filler(p.txn_filler_ops // 8)
+        yield
         for order in range(4):
             self._phase(4)
             key = district * 1000 + order
-            row_tag = yield from self._index_walk(key)
-            yield from self._block_update(key, row_tag)
-            yield from self._filler(p.txn_filler_ops // 10)
+            row_tag = self._index_walk(key)
+            yield
+            self._block_update(key, row_tag)
+            yield
+            self._filler(p.txn_filler_ops // 10)
+            yield
         self._phase(6)
-        yield from self._critical_section(
+        self._critical_section(
             lock_id=t.n_warehouses + district, structure=district,
             hot_prob=0.4)
+        yield
         self._phase(8)
         log_off = self.transactions_emitted * p.log_stores * 8
         for i in range(p.log_stores):
-            yield self.store(self.layout.log_addr(self.pid,
-                                                  log_off + i * 8))
-        yield self.simple(OP_WMB)
+            em.store(self.layout.log_addr(self.pid, log_off + i * 8))
+        em.simple(OP_WMB)
         if p.commit_blocks:
-            yield self.simple(OP_SYSCALL)
+            em.simple(OP_SYSCALL)
+        yield
 
-    def _tx_stock_level(self) -> Iterator[SemanticOp]:
+    def _tx_stock_level(self) -> Iterator[None]:
         """Read-heavy: scan recent stock rows (no shared writes)."""
-        p, t, rng = self.params, self.tpcc, self._rng
+        p, t, rng, em = self.params, self.tpcc, self._rng, self._em
         self._phase(0)
-        yield from self._filler(p.txn_filler_ops // 8)
+        self._filler(p.txn_filler_ops // 8)
+        yield
         base = rng.randrange(1 << 20) * 64
         tag = None
         for row in range(t.stock_scan_rows):
             self._phase(1 + row % 2)
-            op, tag = self.load(
+            tag = em.load(
                 self.layout.block_buffer_addr(base + row * 80),
-                dep_tags=(tag,) if tag is not None and row % 4 == 0
-                else ())
-            yield op
-            cmp_op, _ = self.alu(dep_tags=(tag,))
-            yield cmp_op
+                (tag,) if tag is not None and row % 4 == 0 else ())
+            em.alu((tag,))
             if row % 8 == 7:
-                yield from self._filler(p.txn_filler_ops // 24)
+                self._filler(p.txn_filler_ops // 24)
+                yield
         if p.commit_blocks:
-            yield self.simple(OP_SYSCALL)
+            em.simple(OP_SYSCALL)
+        yield

@@ -3,7 +3,8 @@
 import random
 from collections import Counter
 
-from repro.trace.codewalk import CodeWalker
+from repro.trace.codewalk import INSTR_BYTES, CodeWalker
+from repro.trace.emitter import Emitter
 from repro.trace.instr import BR_CALL, BR_COND, BR_JUMP, BR_RETURN
 
 
@@ -12,12 +13,24 @@ def walker(seed=1, code_bytes=64 * 1024, **kw):
                       rng=random.Random(seed), **kw)
 
 
+def block(w, n_instrs):
+    """Take ``n_instrs`` sequential PCs from the walk, as the emitter does
+    inside a basic block."""
+    pcs = [w.pc + i * INSTR_BYTES for i in range(n_instrs)]
+    w.pc += n_instrs * INSTR_BYTES
+    return pcs
+
+
 class TestBlocks:
     def test_block_pcs_sequential(self):
         w = walker()
-        pcs = w.block(5)
-        assert len(pcs) == 5
-        assert all(b - a == 4 for a, b in zip(pcs, pcs[1:]))
+        start = w.pc
+        em = Emitter(w, (5, 5))
+        for _ in range(5):
+            em.alu()
+        pcs = [i.pc for i in em.out]
+        assert pcs == [start + 4 * i for i in range(5)]
+        assert w.pc == start + 5 * INSTR_BYTES
 
     def test_block_len_deterministic_per_pc(self):
         w1, w2 = walker(seed=1), walker(seed=2)
@@ -28,7 +41,7 @@ class TestBlocks:
     def test_pcs_stay_in_code_region(self):
         w = walker(code_bytes=8 * 1024)
         for _ in range(2000):
-            pcs = w.block(4)
+            pcs = block(w, 4)
             assert all(0x100000 <= pc < 0x100000 + 8 * 1024 + 64 * 16
                        for pc in pcs)
             w.end_block()
@@ -41,7 +54,7 @@ class TestBranches:
         w = walker()
         per_site = {}
         for _ in range(6000):
-            w.block(4)
+            block(w, 4)
             desc = w.end_block()
             per_site.setdefault(desc.pc, Counter())[desc.kind] += 1
         revisited = {pc: c for pc, c in per_site.items()
@@ -55,7 +68,7 @@ class TestBranches:
         w = walker()
         kinds = Counter()
         for _ in range(3000):
-            w.block(4)
+            block(w, 4)
             kinds[w.end_block().kind] += 1
         assert set(kinds) == {BR_COND, BR_CALL, BR_RETURN, BR_JUMP}
         assert kinds[BR_COND] > kinds[BR_CALL]
@@ -64,7 +77,7 @@ class TestBranches:
         w = walker()
         kinds = Counter()
         for _ in range(5000):
-            w.block(4)
+            block(w, 4)
             kinds[w.end_block().kind] += 1
         # Returns can only follow calls; counts track each other.
         assert abs(kinds[BR_CALL] - kinds[BR_RETURN]) <= 10
@@ -72,9 +85,9 @@ class TestBranches:
     def test_not_taken_falls_through(self):
         w = walker()
         for _ in range(2000):
-            w.block(4)
+            block(w, 4)
             desc = w.end_block()
-            next_pc = w.block(1)[0]
+            next_pc = block(w, 1)[0]
             if desc.taken:
                 assert next_pc == desc.target
             else:
@@ -85,7 +98,7 @@ class TestBranches:
                    jump_target_variability=0.0)
         targets = {}
         for _ in range(5000):
-            w.block(4)
+            block(w, 4)
             desc = w.end_block()
             if desc.kind in (BR_CALL, BR_JUMP):
                 if desc.pc in targets:
@@ -100,7 +113,7 @@ class TestStreams:
         w = walker(avg_routine_lines=2)
         lines = []
         for _ in range(4000):
-            for pc in w.block(4):
+            for pc in block(w, 4):
                 lines.append(pc >> 6)
             w.end_block()
         transitions = [b - a for a, b in zip(lines, lines[1:]) if b != a]
@@ -121,10 +134,10 @@ class TestStreams:
     def test_enter_phase_clears_stack(self):
         w = walker()
         for _ in range(50):
-            w.block(4)
+            block(w, 4)
             w.end_block()
         w.enter_phase(0, 4)
-        w.block(4)
+        block(w, 4)
         desc = w.end_block()
         assert desc.kind != BR_RETURN or desc.target  # no stale stack pop
 
@@ -135,7 +148,7 @@ class TestLocality:
                    call_target_variability=0.0, hot_fraction=0.0)
         spans = []
         for _ in range(4000):
-            w.block(4)
+            block(w, 4)
             desc = w.end_block()
             if desc.kind == BR_CALL:
                 spans.append(abs(desc.target - desc.pc))

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core.workloads import dss_workload
 from repro.cpu.consistency import ConsistencyUnit
-from repro.params import ConsistencyImpl, ConsistencyModel
+from repro.params import ConsistencyImpl, ConsistencyModel, \
+    default_system
+from repro.system.machine import Machine
 
 SC = ConsistencyModel.SC
 PC = ConsistencyModel.PC
@@ -163,3 +166,30 @@ class TestSpeculativeLoads:
         u.reset()
         assert u.check_violation(9) is None
         assert u.may_perform_load(5)
+
+
+class TestBookkeepingBounded:
+    def test_only_the_queried_heap_is_kept(self):
+        for model, mem, loads in ((SC, 2, 0), (PC, 0, 1), (RC, 0, 0)):
+            u = unit(model)
+            u.note_dispatch(1, is_load=True)
+            u.note_dispatch(2, is_load=False)
+            assert (len(u._mem_heap), len(u._load_heap)) == (mem, loads)
+
+    def test_rc_bookkeeping_bounded_by_window_in_long_dss_run(self):
+        """Under RC nothing reads the ordering heaps, so nothing may pile
+        up in them (they used to grow to thousands of stale seqs and be
+        copied into every checkpoint)."""
+        params = default_system()
+        assert params.consistency is RC
+        window = params.processor.window_size
+        machine = Machine(params, dss_workload().generators(params.n_nodes))
+        for _ in range(12):
+            machine.run(2_000)
+            for core in machine.cores:
+                for phys in core.physical_cores():
+                    u = phys.consistency
+                    assert len(u._mem_heap) + len(u._load_heap) <= window
+                    assert len(u._incomplete_mem) <= window
+                    assert len(u._incomplete_loads) <= window
+                    assert len(u._spec_lines_by_seq) <= window
