@@ -10,7 +10,13 @@ of the experiment harness itself is tracked across PRs:
    ``sim_s`` so the arena win is attributable);
 3. **parallel** -- fork-server pool with warm arenas and batched
    dispatch (``REPRO_BENCH_INSTR``/``REPRO_BENCH_WARMUP`` shrink the
-   per-job size for smoke runs; ``REPRO_BENCH_JOBS`` sets workers);
+   per-job size for smoke runs; ``REPRO_BENCH_JOBS`` sets workers),
+   then over loopback fabric, then a **cold parallel** pass on a fresh
+   trace directory, in which each group's arena is recorded on a pool
+   worker beside its siblings (``cold_parallel_s``; identity with the
+   serial baseline is asserted and recorded as
+   ``cold_parallel_identical``).  It runs after the gated ``parallel``
+   pass so that one still pays pool start-up, as it always has;
 4. **warm cache** -- serial rerun against the now-warm result cache.
 
 A fifth serial pass runs the same sweep with the main loop in its
@@ -116,11 +122,14 @@ def test_runner_scaling(tmp_path):
     fabric = run_many(specs, jobs=jobs, cache=None, arenas="auto",
                       trace_dir=trace_dir, dispatch="fabric",
                       workers=("spawn:2",))
+    cold_parallel = run_many(specs, jobs=jobs, cache=None, arenas="auto",
+                             trace_dir=str(tmp_path / "traces-cold"))
     warm = run_many(specs, jobs=1, cache=cache, arenas="off")
 
     # All paths must agree bit-for-bit with the generator baseline.
     _assert_identical(cold, dense, "always-due main loop")
     _assert_identical(cold, arena_serial, "arena replay")
+    _assert_identical(cold, cold_parallel, "cold-arena fork-server pool")
     _assert_identical(cold, parallel, "fork-server pool")
     _assert_identical(cold, fabric, "fabric loopback")
     _assert_identical(cold, warm, "warm cache")
@@ -128,6 +137,8 @@ def test_runner_scaling(tmp_path):
     assert warm.cache_hits == len(specs)
     assert arena_serial.arena_jobs > 0, \
         "arena path never engaged (nothing was materialized)"
+    assert cold_parallel.trace_gen_s > 0 and cold_parallel.arena_jobs >= 1, \
+        "no pool worker recorded an arena that a sibling then replayed"
 
     warm_speedup = cold.wall_time / max(warm.wall_time, 1e-9)
     arena_speedup = cold.wall_time / max(arena_serial.wall_time, 1e-9)
@@ -154,6 +165,7 @@ def test_runner_scaling(tmp_path):
         "arena_serial_s": round(arena_serial.wall_time, 3),
         "trace_gen_s": round(arena_serial.trace_gen_s, 3),
         "sim_s": round(arena_serial.sim_s, 3),
+        "cold_parallel_s": round(cold_parallel.wall_time, 3),
         "parallel_s": round(parallel.wall_time, 3),
         "fabric_loopback_s": round(fabric.wall_time, 3),
         "warm_cache_s": round(warm.wall_time, 3),
@@ -170,6 +182,7 @@ def test_runner_scaling(tmp_path):
         "fabric_dispatch": fabric.dispatch,
         "arena_generator_identical": True,   # asserted above
         "skip_identical": True,              # asserted above
+        "cold_parallel_identical": True,     # asserted above
         "fabric_loopback_identical": True,   # asserted above
         "warm_cache_speedup": round(warm_speedup, 2),
         "serial_throughput_instr_per_s": round(cold.throughput),
@@ -187,6 +200,7 @@ def test_runner_scaling(tmp_path):
           f"({arena_speedup:.2f}x, trace gen "
           f"{arena_serial.trace_gen_s:.2f}s + sim "
           f"{arena_serial.sim_s:.2f}s) | "
+          f"cold parallel {cold_parallel.wall_time:.2f}s | "
           f"parallel({parallel.jobs}) {parallel.wall_time:.2f}s "
           f"({parallel_txt}){verdict} | "
           f"fabric loopback {fabric.wall_time:.2f}s "

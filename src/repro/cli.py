@@ -34,10 +34,12 @@ Runner options (accepted before or after the subcommand):
     (equivalent to ``REPRO_CACHE_DIR``, but per-invocation).
 ``--no-arenas``
     Disable trace arenas: every job regenerates its instruction streams
-    instead of replaying a materialized arena.  By default sweeps whose
-    jobs share a workload/seed/run-size materialize the streams once
-    (under ``traces/`` beside the result cache) and replay them
-    everywhere; results are byte-identical either way.
+    instead of replaying a materialized arena.  By default, in sweeps
+    whose jobs share a workload/seed/run-size, one job records the
+    streams while it runs -- on a pool worker beside its siblings, not
+    in a serial pass before them -- and writes them once (under
+    ``traces/`` beside the result cache); siblings started after that
+    replay them.  Results are byte-identical either way.
 ``--trace-dir DIR``
     Store trace arenas at ``DIR`` (equivalent to ``REPRO_TRACE_DIR``).
 ``--workers SPECS``
@@ -287,7 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--no-arenas", action="store_true",
                         default=argparse.SUPPRESS,
                         help="regenerate traces per job instead of "
-                             "replaying materialized arenas")
+                             "recording one arena per sweep group "
+                             "and replaying it")
     common.add_argument("--trace-dir", default=argparse.SUPPRESS,
                         metavar="DIR",
                         help="trace arena location (default: traces/ "

@@ -380,7 +380,9 @@ def run_job(params: SystemParams, workload: Any, instructions: int,
 
     cycles = machine.measured_cycles
     result = assemble_result(machine, workload.name, cycles, instructions)
-    if writing:
+    if store is not None and every > 0:
+        # Also when this run declined checkpointing (an arena recorder):
+        # checkpoints an earlier attempt left are of no further use.
         store.clear()
     return result, info
 
@@ -399,7 +401,8 @@ def run_spec(spec: JobSpec, workload: Optional[Any] = None, *,
     offset) re-runs on the freshly built generator path.  Checkpoints
     record stream *positions*, not stream sources, so one written
     during an arena-backed attempt resumes a generator-path re-run
-    byte-identically.
+    byte-identically.  ``info["replayed"]`` says whether the result
+    came from replaying a :class:`TraceArena` (no fallback).
     """
     fingerprint = spec.fingerprint()
     kw = dict(store=store, every=every, faults=faults,
@@ -407,9 +410,12 @@ def run_spec(spec: JobSpec, workload: Optional[Any] = None, *,
               triage_dir=triage_dir)
     if workload is not None:
         try:
-            return run_job(spec.params, workload,
-                           instructions=spec.instructions,
-                           warmup=spec.warmup, seed=spec.seed, **kw)
+            result, info = run_job(spec.params, workload,
+                                   instructions=spec.instructions,
+                                   warmup=spec.warmup, seed=spec.seed,
+                                   **kw)
+            info["replayed"] = isinstance(workload, TraceArena)
+            return result, info
         except ArenaError:
             pass
     return run_job(spec.params, spec.workload.build(),

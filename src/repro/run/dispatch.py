@@ -28,7 +28,9 @@ from __future__ import annotations
 import abc
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
+
+from repro.run.executor import ArenaPlan
 
 #: Environment default for the fabric worker list (comma-separated
 #: specs, e.g. ``spawn:3`` or ``ssh:db1,ssh:db2`` or ``wait:2``).
@@ -61,18 +63,16 @@ class DispatchContext:
 
     ``outcomes`` is the sweep-wide result list (indexed by original
     spec position) that dispatchers fill in place; a fallback
-    dispatcher re-runs only the indices still ``None``.  ``workloads``
-    maps index to an in-process arena handle (serial path);
-    ``arena_paths`` maps index to the arena file path (worker
-    processes map it themselves).
+    dispatcher re-runs only the indices still ``None``.  ``arenas`` is
+    the sweep's :class:`~repro.run.executor.ArenaPlan`: every
+    dispatcher asks it for a job's arena role when it starts the job.
     """
 
     cache: Optional[Any] = None
     outcomes: List[Optional[Any]] = field(default_factory=list)
     policy: Any = None
     manifest: Optional[Any] = None
-    workloads: Dict[int, Any] = field(default_factory=dict)
-    arena_paths: Dict[int, str] = field(default_factory=dict)
+    arenas: ArenaPlan = field(default_factory=ArenaPlan)
     checkpoint_every: int = 0
     jobs: int = 1
 
@@ -102,7 +102,7 @@ class SerialDispatcher(Dispatcher):
             ctx: DispatchContext) -> bool:
         from repro.run.executor import _run_serial
         _run_serial(pending, ctx.cache, ctx.outcomes, ctx.policy,
-                    ctx.manifest, ctx.workloads,
+                    ctx.manifest, ctx.arenas,
                     checkpoint_every=ctx.checkpoint_every)
         return True
 
@@ -119,7 +119,7 @@ class PoolDispatcher(Dispatcher):
         from repro.run.executor import _run_pool
         return _run_pool(pending, min(ctx.jobs, len(pending)),
                          ctx.cache, ctx.outcomes, ctx.policy,
-                         ctx.manifest, ctx.arena_paths,
+                         ctx.manifest, ctx.arenas,
                          checkpoint_every=ctx.checkpoint_every)
 
 

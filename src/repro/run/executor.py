@@ -7,10 +7,13 @@ for.  Dispatch policy:
 
 * every spec is first looked up in the result cache (when one is given);
 * jobs sharing a workload/seed/run-size are grouped onto a **trace
-  arena** (:mod:`repro.trace.arena`): the group's first member runs
-  serially while recording its instruction streams, which are packed and
-  persisted once, and the remaining members replay the arena instead of
-  regenerating their traces;
+  arena** (:mod:`repro.trace.arena`).  Each job's arena role is decided
+  by :meth:`ArenaPlan.role` when a dispatcher starts it: it *replays*
+  the group's arena once that file loads, *records* it when no arena
+  exists and it holds the group's recording claim (the first member
+  started), and otherwise *generates* its own streams.  A recording
+  job is an ordinary job on whichever dispatcher runs it (the pool
+  records beside its siblings) and writes the arena after it succeeds;
 * remaining misses run either serially in-process (``jobs=1``, the
   deterministic baseline) or on the **persistent fork-server pool**
   (:mod:`repro.run.forkserver`) in chunked batches -- one pickle of a
@@ -32,7 +35,7 @@ shrink to one job so each attempt keeps its own deadline.
 
 Arenas never affect results or cache keys: replay is byte-identical to
 generation, an arena defect falls back to the generator path inside the
-job, and the arena reference travels beside the spec -- never inside
+job, and the arena role and path travel beside the spec -- never inside
 :meth:`~repro.run.jobs.JobSpec.fingerprint`.
 """
 
@@ -53,6 +56,7 @@ from repro.run.checkpoint import run_spec as _run_spec_checkpointed
 from repro.run.faults import plan_from_env
 from repro.run.jobs import JobSpec
 from repro.run.manifest import SweepManifest
+from repro.trace import arena as trace_arena
 
 #: Environment override for arena usage: ``auto`` (default: share
 #: traces across sweep groups of 2+), ``on`` (materialize even for
@@ -129,6 +133,8 @@ class JobOutcome:
     resumed_from: int = 0  # retired-instruction offset the winning
     #                        attempt resumed from (0 = cold start)
     bundle: str = ""      # triage bundle path for a failed job ("" none)
+    replayed: bool = False      # the winning attempt replayed an arena
+    arena_write_s: float = 0.0  # host seconds spent writing its arena
 
     @property
     def failed(self) -> bool:
@@ -143,8 +149,6 @@ class RunReport:
     wall_time: float = 0.0    # elapsed time of the whole run_many call
     jobs: int = 1             # worker count actually used
     fell_back_to_serial: bool = False
-    trace_gen_s: float = 0.0  # time spent packing/writing trace arenas
-    arena_jobs: int = 0       # jobs dispatched with an arena reference
     dispatch: str = "serial"  # dispatcher that finished the batch
 
     @property
@@ -175,6 +179,16 @@ class RunReport:
         return sum(o.spec.instructions + o.spec.warmup
                    for o in self.outcomes
                    if not o.cached and not o.failed)
+
+    @property
+    def arena_jobs(self) -> int:
+        """Jobs that actually replayed a trace arena."""
+        return sum(1 for o in self.outcomes if o.replayed)
+
+    @property
+    def trace_gen_s(self) -> float:
+        """Host seconds recording jobs spent packing/writing arenas."""
+        return sum(o.arena_write_s for o in self.outcomes)
 
     @property
     def checkpoint_s(self) -> float:
@@ -258,12 +272,13 @@ def _serial_attempt(spec: JobSpec, attempt: int,
     ``job_timeout`` post-hoc from this elapsed time, so a hang must be
     charged to the attempt for the timeout to ever trip.  ``workload``
     optionally substitutes a trace arena or recording wrapper for the
-    spec's own generators (see :meth:`JobSpec.run`).  With a ``cache``,
-    the attempt runs through the checkpointing runner: it resumes from
-    the newest checkpoint left by a prior attempt, writes checkpoints
-    every ``checkpoint_every`` retired instructions, and emits a triage
+    spec's own generators (see :func:`repro.run.checkpoint.run_spec`).
+    With a ``cache``, the attempt resumes from the newest checkpoint
+    left by a prior attempt, writes checkpoints every
+    ``checkpoint_every`` retired instructions, and emits a triage
     bundle beside the cache on failure.  Returns ``(result, elapsed,
-    info)`` where ``info`` carries ``ckpt_s`` / ``resumed_from``.
+    info)`` where ``info`` carries ``ckpt_s`` / ``resumed_from`` /
+    ``replayed``.
     """
     start = time.perf_counter()  # repro-lint: disable=R002
     plan = plan_from_env()
@@ -271,23 +286,27 @@ def _serial_attempt(spec: JobSpec, attempt: int,
         fingerprint = spec.fingerprint()
         plan.maybe_crash(fingerprint, attempt)
         plan.maybe_hang(fingerprint, attempt)
-    if cache is not None:
-        store = CheckpointStore.for_job(cache.path, spec.fingerprint()) \
-            if checkpoint_every > 0 else None
-        result, info = _run_spec_checkpointed(
-            spec, workload=workload, store=store, every=checkpoint_every,
-            faults=plan, attempt=attempt, triage_dir=cache.path)
-    else:
-        result = spec.run(workload=workload)
-        info = {}
+    store = CheckpointStore.for_job(cache.path, spec.fingerprint()) \
+        if cache is not None and checkpoint_every > 0 else None
+    result, info = _run_spec_checkpointed(
+        spec, workload=workload, store=store, every=checkpoint_every,
+        faults=plan, attempt=attempt,
+        triage_dir=cache.path if cache is not None else None)
     return result, time.perf_counter() - start, info  # repro-lint: disable=R002
 
 
 def _finish(spec: JobSpec, result: SimulationResult, elapsed: float,
             attempts: int, cache: Optional[ResultCache],
-            manifest: Optional[SweepManifest], ckpt_s: float = 0.0,
-            resumed_from: int = 0) -> JobOutcome:
-    """Record a successful completion (cache write is best-effort)."""
+            manifest: Optional[SweepManifest],
+            info: Optional[Dict[str, Any]] = None) -> JobOutcome:
+    """Record a successful completion (cache write is best-effort).
+
+    ``info`` is the winning attempt's accounting -- a worker outcome
+    dict or the serial runner's info: ``ckpt_s``, ``resumed_from``,
+    ``replayed`` and ``arena_write_s``, each optional.
+    """
+    info = info or {}
+    resumed_from = int(info.get("resumed_from", 0))
     if cache is not None:
         cache.put(spec, result)
     if manifest is not None:
@@ -296,7 +315,10 @@ def _finish(spec: JobSpec, result: SimulationResult, elapsed: float,
                               start_offset=resumed_from)
         manifest.mark_done(fingerprint)
     return JobOutcome(spec, result, elapsed, attempts=attempts,
-                      ckpt_s=ckpt_s, resumed_from=resumed_from)
+                      ckpt_s=float(info.get("ckpt_s", 0.0)),
+                      resumed_from=resumed_from,
+                      replayed=bool(info.get("replayed", False)),
+                      arena_write_s=float(info.get("arena_write_s", 0.0)))
 
 
 def _fail(spec: JobSpec, error: str, elapsed: float, attempts: int,
@@ -314,13 +336,23 @@ def _run_serial(pending: Sequence[Tuple[int, JobSpec]],
                 outcomes: List[Optional[JobOutcome]],
                 policy: RetryPolicy = DEFAULT_POLICY,
                 manifest: Optional[SweepManifest] = None,
-                workloads: Optional[Dict[int, Any]] = None,
+                arenas: Optional["ArenaPlan"] = None,
                 checkpoint_every: int = 0) -> None:
-    workloads = workloads or {}
+    """Run jobs one by one in-process, each with the arena role
+    :meth:`ArenaPlan.role` gives it just before it starts: the first
+    member of a cold group records (and writes the arena once it
+    succeeds), the members after it replay."""
+    arenas = arenas or ArenaPlan()
     for index, spec in pending:
-        outcomes[index] = _run_one_serial(spec, cache, policy, manifest,
-                                          workload=workloads.get(index),
-                                          checkpoint_every=checkpoint_every)
+        role, path = arenas.role(index)
+        workload, recorder = trace_arena.job_workload(spec, role, path)
+        outcome = _run_one_serial(spec, cache, policy, manifest,
+                                  workload=workload,
+                                  checkpoint_every=checkpoint_every)
+        if recorder is not None and not outcome.failed:
+            outcome.arena_write_s = trace_arena.publish_arena(recorder,
+                                                              path)
+        outcomes[index] = outcome
 
 
 def _run_one_serial(spec: JobSpec, cache: Optional[ResultCache],
@@ -368,8 +400,7 @@ def _run_one_serial(spec: JobSpec, cache: Optional[ResultCache],
                     manifest.mark_retrying(fingerprint, error)
             continue
         return _finish(spec, result, total_elapsed, attempt + 1, cache,
-                       manifest, ckpt_s=total_ckpt_s,
-                       resumed_from=int(info.get("resumed_from", 0)))
+                       manifest, dict(info, ckpt_s=total_ckpt_s))
     return _fail(spec, error, total_elapsed, policy.retries + 1, manifest,
                  bundle=bundle)
 
@@ -380,7 +411,6 @@ def _resolve_trace_dir(trace_dir: Optional[str],
                        cache: Optional[ResultCache]) -> Optional[Path]:
     """Where arenas live: explicit dir > ``REPRO_TRACE_DIR`` > beside the
     result cache > nowhere (arenas disabled)."""
-    from repro.trace import arena as trace_arena
     if trace_dir is not None:
         return Path(trace_dir)
     env = trace_arena.default_trace_dir()
@@ -391,65 +421,57 @@ def _resolve_trace_dir(trace_dir: Optional[str],
     return None
 
 
-def _materialize_arenas(pending: Sequence[Tuple[int, JobSpec]],
-                        cache: Optional[ResultCache],
-                        outcomes: List[Optional[JobOutcome]],
-                        policy: RetryPolicy,
-                        manifest: Optional[SweepManifest],
-                        trace_dir: Path,
-                        mode: str,
-                        checkpoint_every: int = 0
-                        ) -> Tuple[Dict[int, Any], float]:
-    """Group pending jobs by arena key; ensure each group's arena exists.
+class ArenaPlan:
+    """Which trace arena each pending job belongs to, and who records it.
 
-    Missing arenas are materialized by running the group's *first*
-    member serially with a recording tee (full retry/timeout/fault
-    semantics apply -- the recording job is an ordinary job); its
-    outcome is filled in directly and the remaining members become arena
-    consumers.  Returns ``(index -> arena handle, seconds spent
-    packing/writing)``.  In ``auto`` mode singleton groups are left on
-    the generator path (an arena can't pay for itself there); ``on``
-    materializes unconditionally.
+    Built once per :func:`run_many` call from the arena grouping;
+    dispatchers ask :meth:`role` when they start a job -- the decision
+    is never made earlier, so a sibling started after the arena lands
+    replays it.  Roles are:
+
+    * ``replay`` -- the group's arena file loads;
+    * ``record`` -- there is no arena and this job holds the group's
+      recording claim: the first member any dispatcher starts takes it
+      and keeps it, so its retries (and a fallback dispatcher's rerun)
+      record again while no sibling records beside it;
+    * ``generate`` -- every other case (including jobs outside any
+      group).
     """
-    from repro.trace import arena as trace_arena
-    handles: Dict[int, Any] = {}
-    trace_gen_s = 0.0
-    groups: Dict[str, List[Tuple[int, JobSpec]]] = {}
+
+    def __init__(self, paths: Optional[Dict[int, Path]] = None):
+        self.paths: Dict[int, Path] = dict(paths or {})
+        self._recorders: Dict[Path, int] = {}   # arena -> recording index
+
+    def role(self, index: int) -> Tuple[str, Optional[str]]:
+        """``(role, arena path)`` for job ``index`` starting now; the
+        path is ``None`` for ``generate``."""
+        path = self.paths.get(index)
+        if path is None:
+            return trace_arena.GENERATE, None
+        if trace_arena.load_cached(path) is not None:
+            return trace_arena.REPLAY, str(path)
+        if self._recorders.setdefault(path, index) == index:
+            return trace_arena.RECORD, str(path)
+        return trace_arena.GENERATE, None
+
+
+def _plan_arenas(pending: Sequence[Tuple[int, JobSpec]], trace_dir: Path,
+                 mode: str) -> ArenaPlan:
+    """Group pending jobs by arena key into an :class:`ArenaPlan`.
+
+    In ``auto`` mode singleton groups stay on the generator path (an
+    arena can't pay for itself there); ``on`` plans every group.
+    """
+    groups: Dict[str, List[int]] = {}
     for index, spec in pending:
         key = trace_arena.arena_key(spec.workload.to_dict(),
                                     spec.params.n_nodes, spec.seed,
                                     spec.instructions + spec.warmup)
-        groups.setdefault(key, []).append((index, spec))
-    for key, members in groups.items():
-        if mode == "auto" and len(members) < 2:
-            continue
-        path = trace_dir / f"{key}.arena"
-        handle = trace_arena.load_cached(path)
-        consumers = members
-        if handle is None:
-            index, spec = members[0]
-            consumers = members[1:]
-            try:
-                recorder = trace_arena.ArenaRecorder(
-                    spec.workload.build(), spec.params.n_nodes, spec.seed,
-                    spec.workload.to_dict(),
-                    spec.instructions + spec.warmup)
-                recording = recorder.workload()
-            except Exception:  # noqa: BLE001 -- job isolation owns this
-                recorder, recording = None, None
-            outcomes[index] = _run_one_serial(
-                spec, cache, policy, manifest, workload=recording,
-                checkpoint_every=checkpoint_every)
-            if recorder is not None and not outcomes[index].failed:
-                started = time.perf_counter()  # repro-lint: disable=R002
-                wrote = recorder.write(path)
-                trace_gen_s += time.perf_counter() - started  # repro-lint: disable=R002
-                if wrote:
-                    handle = trace_arena.load_cached(path)
-        if handle is not None:
-            for index, _spec in consumers:
-                handles[index] = handle
-    return handles, trace_gen_s
+        groups.setdefault(key, []).append(index)
+    return ArenaPlan({index: trace_dir / f"{key}.arena"
+                      for key, members in groups.items()
+                      if mode != "auto" or len(members) >= 2
+                      for index in members})
 
 
 # -------------------------------------------------------------------- pool
@@ -471,14 +493,17 @@ def _run_pool(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
               outcomes: List[Optional[JobOutcome]],
               policy: RetryPolicy = DEFAULT_POLICY,
               manifest: Optional[SweepManifest] = None,
-              arena_paths: Optional[Dict[int, str]] = None,
+              arenas: Optional[ArenaPlan] = None,
               checkpoint_every: int = 0) -> bool:
     """Run misses on the persistent pool; ``False`` if it was unusable.
 
     Jobs are dispatched in chunks (:func:`_chunk_size` per future): each
-    chunk ships one base job dict plus per-job deltas and an optional
-    arena reference, and returns per-job outcome dicts, so one pickle
-    amortizes over the chunk while failure isolation stays per job.
+    chunk ships one base job dict plus per-job deltas and the arena role
+    and path :meth:`ArenaPlan.role` gives each job at submission, and
+    returns per-job outcome dicts, so one pickle amortizes over the
+    chunk while failure isolation stays per job.  A recording job runs
+    on a worker beside its generating siblings and writes the arena
+    there; siblings submitted after it lands replay it.
 
     Scheduling is slot-limited (at most ``jobs`` in-flight futures) so a
     submitted chunk starts essentially immediately and its deadline can
@@ -502,7 +527,7 @@ def _run_pool(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
     pool = forkserver.get_pool(jobs)
     if pool is None:
         return False
-    arena_paths = arena_paths or {}
+    arenas = arenas or ArenaPlan()
     chunk = _chunk_size(len(pending), jobs, policy)
 
     # Jobs waiting to (re)submit: (not-before time, index, spec, attempt,
@@ -549,7 +574,7 @@ def _run_pool(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
                 manifest.mark_running(spec.fingerprint())
         payload = forkserver.make_batch_payload(
             entries[0][1].to_dict(),
-            [(spec.to_dict(), attempt, arena_paths.get(index),
+            [(spec.to_dict(), attempt, arenas.role(index),
               spec.ephemeral())
              for index, spec, attempt, _elapsed in entries],
             cache_dir=str(cache.path) if cache is not None else None,
@@ -631,9 +656,7 @@ def _run_pool(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
                         result = SimulationResult.from_dict(job["result"])
                         outcomes[index] = _finish(
                             spec, result, elapsed + attempt_time,
-                            attempt + 1, cache, manifest,
-                            ckpt_s=float(job.get("ckpt_s", 0.0)),
-                            resumed_from=int(job.get("resumed_from", 0)))
+                            attempt + 1, cache, manifest, job)
                     else:
                         settle(index, spec, attempt,
                                elapsed + attempt_time,
@@ -744,26 +767,19 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
         else:
             pending.append((index, spec))
 
-    trace_gen_s = 0.0
-    arena_handles: Dict[int, Any] = {}
+    plan = ArenaPlan()
     if pending and arenas != "off":
         directory = _resolve_trace_dir(trace_dir, cache)
         if directory is not None:
-            arena_handles, trace_gen_s = _materialize_arenas(
-                pending, cache, outcomes, policy, manifest, directory,
-                arenas, checkpoint_every=checkpoint_every)
-            pending = [p for p in pending if outcomes[p[0]] is None]
+            plan = _plan_arenas(pending, directory, arenas)
 
     fell_back = False
     used = "serial"
     if pending:
         from repro.run.dispatch import DispatchContext, resolve_chain
-        arena_paths = {index: str(handle.path)
-                       for index, handle in arena_handles.items()}
         ctx = DispatchContext(cache=cache, outcomes=outcomes,
                               policy=policy, manifest=manifest,
-                              workloads=arena_handles,
-                              arena_paths=arena_paths,
+                              arenas=plan,
                               checkpoint_every=checkpoint_every,
                               jobs=jobs)
         chain = resolve_chain(dispatch, jobs, len(pending),
@@ -780,8 +796,6 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
                        wall_time=time.perf_counter() - start,  # repro-lint: disable=R002
                        jobs=1 if (jobs == 1 or fell_back) else jobs,
                        fell_back_to_serial=fell_back,
-                       trace_gen_s=trace_gen_s,
-                       arena_jobs=len(arena_handles),
                        dispatch=used)
     assert len(report.outcomes) == len(specs)
     _TOTALS["wall_s"] += report.wall_time

@@ -402,10 +402,7 @@ class _Session:
                         outcome["result"])
                     outcomes[index] = _finish(
                         spec, result, elapsed + attempt_time,
-                        attempt + 1, self.ctx.cache, manifest,
-                        ckpt_s=float(outcome.get("ckpt_s", 0.0)),
-                        resumed_from=int(outcome.get("resumed_from",
-                                                     0)))
+                        attempt + 1, self.ctx.cache, manifest, outcome)
             else:
                 if info is not None:
                     info.jobs_failed += 1
@@ -485,6 +482,7 @@ class _Session:
                     job_seq += 1
                     dispatch_seq += 1
                     fingerprint = spec.fingerprint()
+                    role, arena = self.ctx.arenas.role(index)
                     message = {
                         "type": "job", "job_id": job_seq,
                         "dispatch": dispatch_seq,
@@ -492,7 +490,8 @@ class _Session:
                         "ephemeral": spec.ephemeral(),
                         "fingerprint": fingerprint,
                         "attempt": attempt,
-                        "arena": self.ctx.arena_paths.get(index),
+                        "arena": arena,
+                        "arena_role": role,
                     }
                     if manifest is not None:
                         manifest.mark_running(fingerprint)

@@ -165,7 +165,7 @@ def _serve_loop(channel: Channel, name: str, cache_dir: Optional[str],
         outcome = forkserver.run_entry(
             spec_dict, int(message.get("attempt", 0)),
             message.get("arena"), plan, cache_dir, checkpoint_every,
-            message.get("ephemeral"))
+            message.get("ephemeral"), message.get("arena_role"))
         done_ids.add(job_id)
         result = {"type": "result", "job_id": job_id, "worker": name,
                   "outcome": outcome}

@@ -24,7 +24,10 @@ worker.  This module removes all three:
 Per-job semantics are unchanged from the one-job-per-future path: each
 job in a chunk is independently timed, fault-injected and
 exception-isolated, and ships back either a result dict or an error
-string for the executor's retry machinery.
+string for the executor's retry machinery.  A job's trace-arena role
+(replay / record / generate, decided by the parent when it submits the
+job) rides beside its delta; a recording job writes its group's arena
+from the worker once it succeeds.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.run.faults import FAULTS_ENV, plan_from_env
 from repro.run.jobs import JobSpec
+from repro.trace.arena import REPLAY, job_workload, publish_arena
 
 #: Environment override for the multiprocessing start method.
 START_METHOD_ENV = "REPRO_START_METHOD"
@@ -163,15 +167,18 @@ def apply_delta(base_flat: Dict[Tuple[str, ...], Any],
 
 def make_batch_payload(base: Dict[str, Any],
                        entries: Sequence[Tuple[Dict[str, Any], int,
-                                               Optional[str],
+                                               Optional[Tuple[str,
+                                                              Optional[str]]],
                                                Dict[str, Any]]],
                        cache_dir: Optional[str] = None,
                        checkpoint_every: int = 0) -> Dict[str, Any]:
-    """Build one chunk payload from ``(job dict, attempt, arena path,
-    ephemeral knobs)`` entries; the knobs (:meth:`JobSpec.ephemeral`)
-    travel beside the job dict, which omits them.  Captures the
-    parent's current fault plan explicitly so persistent workers never
-    act on a stale inherited environment.
+    """Build one chunk payload from ``(job dict, attempt, arena,
+    ephemeral knobs)`` entries, where ``arena`` is the job's
+    ``(role, path)`` from :meth:`repro.run.executor.ArenaPlan.role` or
+    ``None``; the knobs (:meth:`JobSpec.ephemeral`) travel beside the
+    job dict, which omits them.  Captures the parent's current fault
+    plan explicitly so persistent workers never act on a stale
+    inherited environment.
     ``cache_dir`` (when set) is where workers keep checkpoints and write
     crash-triage bundles; ``checkpoint_every`` is the checkpoint
     interval in retired instructions (0 disables checkpoint writes).
@@ -180,7 +187,9 @@ def make_batch_payload(base: Dict[str, Any],
     return {
         "base": base,
         "jobs": [{"delta": encode_delta(base_flat, job),
-                  "attempt": attempt, "arena": arena,
+                  "attempt": attempt,
+                  "arena_role": arena[0] if arena else None,
+                  "arena": arena[1] if arena else None,
                   "ephemeral": ephemeral}
                  for job, attempt, arena, ephemeral in entries],
         "faults": os.environ.get(FAULTS_ENV, ""),
@@ -195,7 +204,8 @@ def run_entry(spec_dict: Dict[str, Any], attempt: int,
               arena: Optional[str], plan,
               cache_dir: Optional[str],
               checkpoint_every: int,
-              ephemeral: Optional[Dict[str, Any]] = None
+              ephemeral: Optional[Dict[str, Any]] = None,
+              arena_role: Optional[str] = None
               ) -> Dict[str, Any]:
     """Execute one job dict with full worker semantics; never raises.
 
@@ -208,27 +218,34 @@ def run_entry(spec_dict: Dict[str, Any], attempt: int,
     real -- is folded into the returned outcome dict so one bad job
     cannot poison its neighbours or its transport.  ``ephemeral``
     reinstates the job's tooling knobs, which the job dict omits.
+
+    ``arena_role`` says what to do with the arena at path ``arena``:
+    ``replay`` it (the default when only a path is given), ``record``
+    it (tee the generators, then write the arena once the job has
+    succeeded), or ignore it (``generate``).  The outcome reports
+    whether the job actually replayed and how long its arena write
+    took; a storage fault on that write costs the siblings their
+    replay, not the job.
     """
+    from repro.run import checkpoint as ckpt
     start = time.perf_counter()  # repro-lint: disable=R002
-    info: Dict[str, Any] = {}
+    write_s = 0.0
     try:
         spec = JobSpec.from_dict(spec_dict, ephemeral)
         if plan is not None:
             fingerprint = spec.fingerprint()
             plan.maybe_crash(fingerprint, attempt)
             plan.maybe_hang(fingerprint, attempt)
-        workload = _arena_workload(arena)
-        if cache_dir:
-            from repro.run import checkpoint as ckpt
-            store = ckpt.CheckpointStore.for_job(
-                cache_dir, spec.fingerprint()) \
-                if checkpoint_every > 0 else None
-            result, info = ckpt.run_spec(
-                spec, workload=workload, store=store,
-                every=checkpoint_every, faults=plan, attempt=attempt,
-                triage_dir=cache_dir)
-        else:
-            result = spec.run(workload=workload)
+        workload, recorder = job_workload(spec, arena_role or REPLAY,
+                                          arena)
+        store = ckpt.CheckpointStore.for_job(
+            cache_dir, spec.fingerprint()) \
+            if cache_dir and checkpoint_every > 0 else None
+        result, info = ckpt.run_spec(
+            spec, workload=workload, store=store, every=checkpoint_every,
+            faults=plan, attempt=attempt, triage_dir=cache_dir or None)
+        if recorder is not None:
+            write_s = publish_arena(recorder, arena)
     except Exception as exc:  # noqa: BLE001 -- per-job isolation
         return {
             "ok": False,
@@ -243,6 +260,8 @@ def run_entry(spec_dict: Dict[str, Any], attempt: int,
         "elapsed": time.perf_counter() - start,  # repro-lint: disable=R002
         "ckpt_s": float(info.get("ckpt_s", 0.0)),
         "resumed_from": int(info.get("resumed_from", 0)),
+        "replayed": bool(info.get("replayed", False)),
+        "arena_write_s": write_s,
     }
 
 
@@ -260,18 +279,7 @@ def _execute_batch(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
     every = int(payload.get("checkpoint_every", 0) or 0)
     return [run_entry(apply_delta(base_flat, entry["delta"]),
                       entry["attempt"], entry.get("arena"), plan,
-                      cache_dir, every, entry.get("ephemeral"))
+                      cache_dir, every, entry.get("ephemeral"),
+                      entry.get("arena_role"))
             for entry in payload["jobs"]]
 
-
-def _arena_workload(path: Optional[str]):
-    """Load the chunk's arena reference (memoized per worker process).
-
-    Forked workers find it already in the registry; spawned workers map
-    the file on first use (the page cache still shares the bytes).  Any
-    defect degrades to ``None`` -- the job reruns its generators.
-    """
-    if not path:
-        return None
-    from repro.trace import arena
-    return arena.load_cached(path, quarantine=False)

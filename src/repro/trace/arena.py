@@ -14,13 +14,14 @@ share the arena pages instead of regenerating or copying them.
 
 How much to materialize is learned, not guessed: per-process consumption
 is heavily skewed (a DSS scan process can pull ~5x the uniform share),
-so :class:`ArenaRecorder` *records* the streams actually pulled by the
-first job of a sweep group while that job runs normally, then extends
-each stream by a safety margin and writes the arena.  Sibling
-configurations consume nearly identical per-process prefixes; a job that
-outruns its recorded stream raises :class:`ArenaExhausted` and the
-caller transparently re-runs on the generator path, so results are
-byte-identical by construction in every case.
+so :class:`ArenaRecorder` *records* the streams actually pulled by one
+job of a sweep group while that job runs normally -- wherever it runs,
+a pool worker included -- then extends each stream by a safety margin
+and writes the arena.  Sibling configurations consume nearly identical
+per-process prefixes; a job that outruns its recorded stream raises
+:class:`ArenaExhausted` and the caller transparently re-runs on the
+generator path, so results are byte-identical by construction in every
+case.
 
 Versioning: :data:`TRACE_VERSION` is **independent** of
 ``repro.run.jobs.MODEL_VERSION``.  Bump ``TRACE_VERSION`` when the
@@ -53,6 +54,7 @@ import hashlib
 import json
 import mmap
 import os
+import time
 import warnings
 from array import array
 from pathlib import Path
@@ -73,6 +75,12 @@ QUARANTINE_DIR = "quarantine"
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 
 _FORMAT = 1
+
+#: A sweep job's arena role, decided when a dispatcher starts the job
+#: (see ``repro.run.executor.ArenaPlan``) and acted on by
+#: :func:`job_workload` / :func:`publish_arena`: replay the group's
+#: arena, record it while running, or run on the generators alone.
+REPLAY, RECORD, GENERATE = "replay", "record", "generate"
 
 
 class ArenaError(Exception):
@@ -493,7 +501,7 @@ class _RecordingWorkload:
 
 
 class ArenaRecorder:
-    """Materialize an arena from the first job of a sweep group.
+    """Materialize an arena from the recording job of a sweep group.
 
     ``workload()`` hands out a fresh recording wrapper per attempt (so
     retries restart from identically-seeded generators); after the
@@ -549,3 +557,46 @@ class ArenaRecorder:
         self._sources = None
         self._records = None
         return ok
+
+
+# ------------------------------------------------------------------ roles
+
+def job_workload(spec, role: str, path: Optional[str]):
+    """``(workload substitute, recorder)`` for one job's arena role.
+
+    ``spec`` is the job's :class:`~repro.run.jobs.JobSpec`.  ``replay``
+    loads the arena at ``path``, memoized per process: forked workers
+    find arenas the parent loaded before the fork in the registry,
+    others map the file on first use (the page cache still shares the
+    bytes), and any defect degrades to ``None`` -- the job generates.
+    ``record`` wraps fresh generators in an :class:`ArenaRecorder`
+    whose arena :func:`publish_arena` writes after the job succeeds;
+    anything else, or no ``path``, is the plain generator path
+    ``(None, None)``.
+    """
+    if not path:
+        return None, None
+    if role == REPLAY:
+        return load_cached(path, quarantine=False), None
+    if role == RECORD:
+        try:
+            recorder = ArenaRecorder(
+                spec.workload.build(), spec.params.n_nodes, spec.seed,
+                spec.workload.to_dict(), spec.instructions + spec.warmup)
+        except Exception:  # noqa: BLE001 -- the job itself reports it
+            return None, None
+        return recorder.workload(), recorder
+    return None, None
+
+
+def publish_arena(recorder: ArenaRecorder, path: str) -> float:
+    """Write a succeeded recording job's arena; the seconds it took.
+
+    Storage faults only leave the group without an arena
+    (:func:`write_arena` warns and the siblings generate their own
+    streams); an injected writer death propagates like every other
+    durable writer's.
+    """
+    started = time.perf_counter()  # repro-lint: disable=R002
+    recorder.write(path)
+    return time.perf_counter() - started  # repro-lint: disable=R002

@@ -4,8 +4,9 @@ Covers lossless pack/replay round-trips against live generator streams,
 simulation-result byte-identity between the arena and generator paths
 per workload and seed, stream-exhaustion fallback, corrupt-file
 quarantine, key stability (and its independence from MODEL_VERSION),
-and the executor integration: grouping, materialize-once semantics, and
-``trace_gen_s`` accounting.
+and the executor integration: grouping, materialize-once semantics,
+recording on a pool worker, and ``arena_jobs`` / ``trace_gen_s``
+accounting.
 """
 
 import json
@@ -298,3 +299,92 @@ class TestExecutorIntegration:
         run_many([spec, _spec(seed=0)], jobs=1, arenas="auto",
                  trace_dir=str(tmp_path))
         assert spec.fingerprint() == before
+
+
+def _window_sweep(windows, **sizes):
+    """One arena group: the same OLTP stream under several windows."""
+    import dataclasses
+    base = default_system()
+    return [JobSpec(base.replace(processor=dataclasses.replace(
+                base.processor, window_size=window)),
+                    WorkloadSpec("oltp"), seed=0, **{**TINY, **sizes})
+            for window in windows]
+
+
+class TestArenaAccounting:
+    """``arena_jobs`` counts jobs that actually replayed; a job handed
+    an arena it could not use is a generator-path job."""
+
+    def test_truncated_arena_counts_zero(self, tmp_path):
+        from repro.run import executor, forkserver
+        spec = _spec(seed=2)
+        recorder = ArenaRecorder(
+            spec.workload.build(), spec.params.n_nodes, spec.seed,
+            spec.workload.to_dict(), spec.instructions + spec.warmup)
+        spec.run(workload=recorder.workload())
+        path = tmp_path / "t.arena"
+        assert recorder.write(path)
+        intact = forkserver.run_entry(spec.to_dict(), 0, str(path), None,
+                                      None, 0, spec.ephemeral(),
+                                      arena.REPLAY)
+        assert intact["ok"] and intact["replayed"]
+        arena.forget(path)
+        path.write_bytes(path.read_bytes()[:-8])
+        outcome = forkserver.run_entry(spec.to_dict(), 0, str(path), None,
+                                       None, 0, spec.ephemeral(),
+                                       arena.REPLAY)
+        assert outcome["ok"] and outcome["replayed"] is False
+        assert outcome["result"] == intact["result"]
+        report = repro.run.RunReport(outcomes=[executor._finish(
+            spec, spec.run(), 0.0, 1, None, None, outcome)])
+        assert report.arena_jobs == 0 and report.trace_gen_s == 0.0
+
+    def test_exhausted_arena_counts_zero(self, tmp_path):
+        small, big = _spec(seed=4, instructions=300, warmup=100), \
+            _spec(seed=4, instructions=4000, warmup=1000)
+        recorder = ArenaRecorder(
+            small.workload.build(), small.params.n_nodes, small.seed,
+            small.workload.to_dict(), small.instructions + small.warmup)
+        small.run(workload=recorder.workload())
+        # The small job's streams, filed under the big group's key: the
+        # plan hands them out for replay, and replay runs dry mid-run.
+        key = arena_key(big.workload.to_dict(), big.params.n_nodes,
+                        big.seed, big.instructions + big.warmup)
+        assert recorder.write(tmp_path / f"{key}.arena")
+        report = run_many([big, big], jobs=1, arenas="auto",
+                          trace_dir=str(tmp_path))
+        assert report.arena_jobs == 0
+        assert [r.to_dict() for r in report.results] == \
+            [big.run().to_dict()] * 2
+        arena.forget(tmp_path / f"{key}.arena")
+
+
+class TestPoolRecording:
+    """A cold group records on a pool worker, beside its siblings."""
+
+    def test_cold_pool_sweep_records_on_a_worker(self, tmp_path,
+                                                 monkeypatch):
+        from repro.run import executor, forkserver
+        if forkserver.get_pool(2) is None:
+            pytest.skip("no usable multiprocessing start method")
+        specs = _window_sweep((16, 32, 64, 128))
+        baseline = run_many(specs, jobs=1, arenas="off")
+        serial_dir, pool_dir = tmp_path / "serial", tmp_path / "pool"
+        run_many(specs, jobs=1, arenas="auto", trace_dir=str(serial_dir))
+        calls = []
+        real = executor._run_one_serial
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(executor, "_run_one_serial", counting)
+        pooled = run_many(specs, jobs=2, arenas="auto",
+                          trace_dir=str(pool_dir))
+        assert pooled.dispatch == "pool" and calls == []
+        assert [r.to_dict() for r in pooled.results] == \
+            [r.to_dict() for r in baseline.results]
+        assert pooled.arena_jobs >= 1 and pooled.trace_gen_s > 0.0
+        [recorded] = [p for p in pool_dir.iterdir() if p.suffix == ".arena"]
+        # The worker wrote the very bytes the serial recorder writes.
+        assert recorded.read_bytes() == \
+            (serial_dir / recorded.name).read_bytes()

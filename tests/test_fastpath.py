@@ -30,7 +30,8 @@ from collections import OrderedDict, deque
 
 import pytest
 
-from repro.core.experiment import assemble_result
+from repro.check.invariants import InvariantViolation
+from repro.core.experiment import assemble_result, run_simulation
 from repro.core.workloads import dss_workload, oltp_workload, \
     tpcc_workload
 from repro.cpu.core import ProcessorCore
@@ -319,3 +320,20 @@ def test_sanitized_runs_use_the_skip_loop(monkeypatch):
     assert counts["sanitized"] < cycles["sanitized"] * BASE.n_nodes
     assert counts["sanitized"] == counts["plain"]
     assert results["sanitized"] == results["plain"] == results["oracle"]
+
+
+@pytest.mark.xfail(
+    strict=True, raises=InvariantViolation,
+    reason="model bug under PC + prefetch: a consistency-blocked load in "
+           "_process_memq calls prefetch_data(exclusive=False), which "
+           "checks only L1D, so the owner of line 0x101 (node 1: "
+           "directory EXCLUSIVE, dirty and writable in its L2, absent "
+           "from L1D) issues a directory read, and CoherentMemory.read's "
+           "'owner re-reading after a silent drop' branch sets SHARED "
+           "without downgrading node 1's dirty copy")
+def test_sanitized_pc_prefetch_cell():
+    """The sanitizer on the ``oltp-pc-prefetch`` cell.  Fixing the model
+    changes PC + prefetch results (a MODEL_VERSION bump)."""
+    params, workload_factory, _kw = CELLS["oltp-pc-prefetch"]
+    run_simulation(params.replace(check=True), workload_factory(),
+                   instructions=2500, warmup=1000, seed=0)

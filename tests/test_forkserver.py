@@ -216,3 +216,80 @@ class TestProfileHarness:
         assert comparison["materialized"] is True
         assert comparison["identical"] is True
         assert comparison["arena_bytes"] > 0
+
+
+def _window_sweep(windows):
+    """One arena group: the same OLTP stream under several windows."""
+    import dataclasses
+    base = default_system()
+    return [JobSpec(base.replace(processor=dataclasses.replace(
+                base.processor, window_size=window)),
+                    WorkloadSpec("oltp"), seed=0, **TINY)
+            for window in windows]
+
+
+class TestPoolRecording:
+    """The recording job of an arena group is an ordinary pool job:
+    the job timeout bounds it and its arena write is best-effort."""
+
+    def test_hung_recorder_is_abandoned_and_retried(self, monkeypatch,
+                                                    tmp_path):
+        from repro.run import executor
+        from repro.run.faults import FaultPlan
+        if forkserver.get_pool(2) is None:
+            pytest.skip("no usable multiprocessing start method")
+        specs = _window_sweep((16, 32, 64))
+        fingerprints = [spec.fingerprint() for spec in specs]
+
+        def hangs(plan, index, attempt):
+            return plan.roll("hang", fingerprints[index], attempt)
+
+        # A plan under which exactly the first job -- the one the pool
+        # submits first, so the recorder -- hangs, on its first attempt.
+        text = next(
+            f"hang:0.5,hang_s:4,seed:{seed}" for seed in range(200)
+            if hangs(FaultPlan.parse(f"hang:0.5,seed:{seed}"), 0, 0)
+            and not any(hangs(FaultPlan.parse(f"hang:0.5,seed:{seed}"),
+                              index, attempt)
+                        for index in range(3) for attempt in range(3)
+                        if (index, attempt) != (0, 0)))
+        baseline = run_many(specs, jobs=1, arenas="off")
+        calls = []
+        real = executor._run_one_serial
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(executor, "_run_one_serial", counting)
+        monkeypatch.setenv("REPRO_FAULTS", text)
+        policy = RetryPolicy(retries=2, job_timeout=2.0,
+                             backoff_base=0.001, backoff_cap=0.01)
+        report = run_many(specs, jobs=2, policy=policy, arenas="auto",
+                          trace_dir=str(tmp_path))
+        assert report.dispatch == "pool" and calls == []
+        assert report.outcomes[0].attempts == 2
+        assert [o.attempts for o in report.outcomes[1:]] == [1, 1]
+        assert [r.to_dict() for r in report.results] == \
+            [r.to_dict() for r in baseline.results]
+        assert any(p.suffix == ".arena" for p in tmp_path.iterdir())
+
+    def test_enospc_on_worker_arena_write(self, monkeypatch, tmp_path):
+        specs = _window_sweep((16, 32, 64, 128))
+        baseline = run_many(specs, jobs=1, arenas="off")
+        # Workers read disk faults from the environment they forked
+        # with: start them under the plan, and retire them afterwards.
+        forkserver.recycle_pool()
+        monkeypatch.setenv("REPRO_FAULTS", "enospc:1.0")
+        try:
+            if forkserver.get_pool(2) is None:
+                pytest.skip("no usable multiprocessing start method")
+            report = run_many(specs, jobs=2, arenas="auto",
+                              trace_dir=str(tmp_path))
+        finally:
+            forkserver.recycle_pool()
+        assert report.dispatch == "pool" and not report.failures
+        assert [o.attempts for o in report.outcomes] == [1] * 4
+        assert report.arena_jobs == 0 and report.trace_gen_s > 0.0
+        assert not any(p.suffix == ".arena" for p in tmp_path.iterdir())
+        assert [r.to_dict() for r in report.results] == \
+            [r.to_dict() for r in baseline.results]
