@@ -9,11 +9,15 @@ cannot fail, so a sweep degrades -- fabric to local pool to in-process
 serial -- without ever losing completed outcomes: results live in the
 shared ``outcomes`` list and the manifest, not in the dispatcher.
 
-The three built-in strategies wrap the existing executors:
+Every strategy drives the same attempt core,
+:class:`repro.run.executor.Attempts`, which owns the retry queue,
+backoff, the manifest attempt log, retry-or-fail and the finished
+outcome; a strategy keeps only its transport:
 
-* :class:`SerialDispatcher` -- in-process, deterministic baseline;
+* :class:`SerialDispatcher` -- in-process, in input order, each job to
+  completion; the deterministic baseline;
 * :class:`PoolDispatcher` -- the persistent fork-server pool
-  (:func:`repro.run.executor._run_pool`);
+  (:func:`repro.run.executor._run_pool`), one job per future;
 * ``FabricDispatcher`` (:mod:`repro.run.fabric.coordinator`) -- the
   multi-host coordinator/worker fabric, imported lazily so the socket
   machinery never loads for purely local sweeps.
@@ -64,8 +68,8 @@ class DispatchContext:
     ``outcomes`` is the sweep-wide result list (indexed by original
     spec position) that dispatchers fill in place; a fallback
     dispatcher re-runs only the indices still ``None``.  ``arenas`` is
-    the sweep's :class:`~repro.run.executor.ArenaPlan`: every
-    dispatcher asks it for a job's arena role when it starts the job.
+    the sweep's :class:`~repro.run.executor.ArenaPlan`: the attempt
+    core asks it for a job's arena role when an attempt starts.
     """
 
     cache: Optional[Any] = None
@@ -82,6 +86,10 @@ class Dispatcher(abc.ABC):
 
     #: Short strategy name reported in :class:`RunReport.dispatch`.
     name: str = "?"
+
+    #: Workers the last finished :meth:`run` used, reported in
+    #: :attr:`RunReport.jobs`.
+    workers: int = 1
 
     @abc.abstractmethod
     def run(self, pending: Sequence[Tuple[int, Any]],
@@ -101,9 +109,7 @@ class SerialDispatcher(Dispatcher):
     def run(self, pending: Sequence[Tuple[int, Any]],
             ctx: DispatchContext) -> bool:
         from repro.run.executor import _run_serial
-        _run_serial(pending, ctx.cache, ctx.outcomes, ctx.policy,
-                    ctx.manifest, ctx.arenas,
-                    checkpoint_every=ctx.checkpoint_every)
+        _run_serial(pending, ctx)
         return True
 
 
@@ -117,10 +123,8 @@ class PoolDispatcher(Dispatcher):
         if ctx.jobs < 2 or len(pending) < 2:
             return False
         from repro.run.executor import _run_pool
-        return _run_pool(pending, min(ctx.jobs, len(pending)),
-                         ctx.cache, ctx.outcomes, ctx.policy,
-                         ctx.manifest, ctx.arenas,
-                         checkpoint_every=ctx.checkpoint_every)
+        self.workers = min(ctx.jobs, len(pending))
+        return _run_pool(pending, self.workers, ctx)
 
 
 DispatchSpec = Union[None, str, Dispatcher, Sequence[Dispatcher]]

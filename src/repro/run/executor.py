@@ -8,30 +8,31 @@ for.  Dispatch policy:
 * every spec is first looked up in the result cache (when one is given);
 * jobs sharing a workload/seed/run-size are grouped onto a **trace
   arena** (:mod:`repro.trace.arena`).  Each job's arena role is decided
-  by :meth:`ArenaPlan.role` when a dispatcher starts it: it *replays*
+  by :meth:`ArenaPlan.role` when an attempt of it starts: it *replays*
   the group's arena once that file loads, *records* it when no arena
   exists and it holds the group's recording claim (the first member
   started), and otherwise *generates* its own streams.  A recording
   job is an ordinary job on whichever dispatcher runs it (the pool
   records beside its siblings) and writes the arena after it succeeds;
-* remaining misses run either serially in-process (``jobs=1``, the
-  deterministic baseline) or on the **persistent fork-server pool**
-  (:mod:`repro.run.forkserver`) in chunked batches -- one pickle of a
-  base job plus per-job deltas per chunk;
+* remaining misses run on a chain of dispatchers
+  (:mod:`repro.run.dispatch`): serially in-process (``jobs=1``, the
+  deterministic baseline), on the **persistent fork-server pool**
+  (:mod:`repro.run.forkserver`, one job per future), or on the fabric;
 * if the pool cannot be created or dies (restricted environments without
   ``fork``/semaphores, interpreter shutdown), the executor falls back to
   the serial path instead of failing the sweep.
 
-Failures are isolated **per job**: an attempt that raises any exception
-is retried up to :attr:`RetryPolicy.retries` times with deterministic
+Every dispatcher drives one attempt core, :class:`Attempts`: failures
+are isolated **per job**, an attempt that raises any exception is
+retried up to :attr:`RetryPolicy.retries` times with deterministic
 exponential backoff, an attempt that exceeds
-:attr:`RetryPolicy.job_timeout` is abandoned and retried, and only a job
-that exhausts its retries is reported as a *failed*
+:attr:`RetryPolicy.job_timeout` is charged as a timeout and retried,
+and only a job that exhausts its retries is reported as a *failed*
 :class:`JobOutcome` (``result=None``) -- the rest of the sweep keeps
-going.  Progress is journalled through an optional
+going.  A job's ``wall_time`` and ``ckpt_s`` sum over its charged
+attempts.  Progress is journalled through an optional
 :class:`~repro.run.manifest.SweepManifest` so interrupted sweeps resume
-from the incomplete remainder.  When ``job_timeout`` is set, chunks
-shrink to one job so each attempt keeps its own deadline.
+from the incomplete remainder.
 
 Arenas never affect results or cache keys: replay is byte-identical to
 generation, an arena defect falls back to the generator path inside the
@@ -47,13 +48,12 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.core.experiment import SimulationResult
 from repro.run.cache import ResultCache
-from repro.run.checkpoint import CheckpointStore
-from repro.run.checkpoint import run_spec as _run_spec_checkpointed
-from repro.run.faults import plan_from_env
+from repro.run.faults import FAULTS_ENV
 from repro.run.jobs import JobSpec
 from repro.run.manifest import SweepManifest
 from repro.trace import arena as trace_arena
@@ -78,11 +78,13 @@ class RetryPolicy:
 
     ``retries`` is the number of *additional* attempts after the first
     failure; ``job_timeout`` (seconds, ``None`` = unlimited) bounds one
-    attempt's wall time.  On the process pool an overdue attempt is
-    abandoned (the worker is left to drain) and retried; on the serial
-    path the attempt cannot be interrupted, so the timeout is enforced
-    post-hoc -- an over-budget attempt is discarded and retried, giving
-    both paths the same observable semantics.
+    attempt's wall time.  The pool and the fabric abandon an overdue
+    attempt (its worker is left to drain) and retry it; the serial path
+    cannot interrupt an attempt, so there the timeout is enforced
+    post-hoc -- an over-budget attempt is discarded and retried.  Either
+    way the attempt is charged as a ``timeout``
+    (:class:`Attempts`), so every dispatcher shows the same observable
+    semantics.
 
     Backoff between attempts is exponential with a deterministic
     fingerprint-derived jitter -- no wall-clock or global RNG feeds the
@@ -125,11 +127,13 @@ class JobOutcome:
 
     spec: JobSpec
     result: Optional[SimulationResult]
-    wall_time: float      # seconds spent simulating (0.0 for cache hits)
+    wall_time: float      # seconds its charged attempts took (0.0 for
+    #                       cache hits)
     cached: bool = False
     attempts: int = 1     # executed attempts (0 for cache hits)
     error: str = ""
-    ckpt_s: float = 0.0   # host seconds spent writing checkpoints
+    ckpt_s: float = 0.0   # host seconds its charged attempts spent
+    #                       writing checkpoints
     resumed_from: int = 0  # retired-instruction offset the winning
     #                        attempt resumed from (0 = cold start)
     bundle: str = ""      # triage bundle path for a failed job ("" none)
@@ -147,9 +151,9 @@ class RunReport:
 
     outcomes: List[JobOutcome] = field(default_factory=list)
     wall_time: float = 0.0    # elapsed time of the whole run_many call
-    jobs: int = 1             # worker count actually used
+    jobs: int = 1             # workers of the finishing dispatcher
     fell_back_to_serial: bool = False
-    dispatch: str = "serial"  # dispatcher that finished the batch
+    dispatch: str = "serial"  # dispatcher that finished the sweep
 
     @property
     def results(self) -> List[Optional[SimulationResult]]:
@@ -261,38 +265,10 @@ def _failure_text(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _serial_attempt(spec: JobSpec, attempt: int,
-                    workload: Optional[Any] = None,
-                    cache: Optional[ResultCache] = None,
-                    checkpoint_every: int = 0
-                    ) -> Tuple[SimulationResult, float, Dict[str, Any]]:
-    """One in-process attempt, with the same fault hooks as a worker.
-
-    The clock starts before fault injection: the serial path enforces
-    ``job_timeout`` post-hoc from this elapsed time, so a hang must be
-    charged to the attempt for the timeout to ever trip.  ``workload``
-    optionally substitutes a trace arena or recording wrapper for the
-    spec's own generators (see :func:`repro.run.checkpoint.run_spec`).
-    With a ``cache``, the attempt resumes from the newest checkpoint
-    left by a prior attempt, writes checkpoints every
-    ``checkpoint_every`` retired instructions, and emits a triage
-    bundle beside the cache on failure.  Returns ``(result, elapsed,
-    info)`` where ``info`` carries ``ckpt_s`` / ``resumed_from`` /
-    ``replayed``.
-    """
-    start = time.perf_counter()  # repro-lint: disable=R002
-    plan = plan_from_env()
-    if plan is not None:
-        fingerprint = spec.fingerprint()
-        plan.maybe_crash(fingerprint, attempt)
-        plan.maybe_hang(fingerprint, attempt)
-    store = CheckpointStore.for_job(cache.path, spec.fingerprint()) \
-        if cache is not None and checkpoint_every > 0 else None
-    result, info = _run_spec_checkpointed(
-        spec, workload=workload, store=store, every=checkpoint_every,
-        faults=plan, attempt=attempt,
-        triage_dir=cache.path if cache is not None else None)
-    return result, time.perf_counter() - start, info  # repro-lint: disable=R002
+def _clock() -> float:
+    """Host clock for backoff, deadlines and attempt charging only;
+    never feeds simulated state."""
+    return time.perf_counter()  # repro-lint: disable=R002
 
 
 def _finish(spec: JobSpec, result: SimulationResult, elapsed: float,
@@ -301,9 +277,9 @@ def _finish(spec: JobSpec, result: SimulationResult, elapsed: float,
             info: Optional[Dict[str, Any]] = None) -> JobOutcome:
     """Record a successful completion (cache write is best-effort).
 
-    ``info`` is the winning attempt's accounting -- a worker outcome
-    dict or the serial runner's info: ``ckpt_s``, ``resumed_from``,
-    ``replayed`` and ``arena_write_s``, each optional.
+    ``info`` is the winning attempt's outcome dict: ``ckpt_s``,
+    ``resumed_from``, ``replayed`` and ``arena_write_s``, each
+    optional.
     """
     info = info or {}
     resumed_from = int(info.get("resumed_from", 0))
@@ -322,87 +298,243 @@ def _finish(spec: JobSpec, result: SimulationResult, elapsed: float,
 
 
 def _fail(spec: JobSpec, error: str, elapsed: float, attempts: int,
-          manifest: Optional[SweepManifest],
-          bundle: str = "") -> JobOutcome:
+          manifest: Optional[SweepManifest], bundle: str = "",
+          ckpt_s: float = 0.0) -> JobOutcome:
     """Record a job that exhausted its retries; the sweep continues."""
     if manifest is not None:
         manifest.mark_failed(spec.fingerprint(), error)
     return JobOutcome(spec, None, elapsed, attempts=attempts, error=error,
-                      bundle=bundle)
+                      bundle=bundle, ckpt_s=ckpt_s)
 
 
-def _run_serial(pending: Sequence[Tuple[int, JobSpec]],
-                cache: Optional[ResultCache],
-                outcomes: List[Optional[JobOutcome]],
-                policy: RetryPolicy = DEFAULT_POLICY,
-                manifest: Optional[SweepManifest] = None,
-                arenas: Optional["ArenaPlan"] = None,
-                checkpoint_every: int = 0) -> None:
-    """Run jobs one by one in-process, each with the arena role
-    :meth:`ArenaPlan.role` gives it just before it starts: the first
-    member of a cold group records (and writes the arena once it
-    succeeds), the members after it replay."""
-    arenas = arenas or ArenaPlan()
-    for index, spec in pending:
-        role, path = arenas.role(index)
-        workload, recorder = trace_arena.job_workload(spec, role, path)
-        outcome = _run_one_serial(spec, cache, policy, manifest,
-                                  workload=workload,
-                                  checkpoint_every=checkpoint_every)
-        if recorder is not None and not outcome.failed:
-            outcome.arena_write_s = trace_arena.publish_arena(recorder,
-                                                              path)
-        outcomes[index] = outcome
+class Ticket(NamedTuple):
+    """One started attempt, as a dispatcher hands it back to a verdict."""
+
+    index: int
+    spec: JobSpec
+    attempt: int
+    elapsed: float    # seconds charged to the job's earlier attempts
+    started: float    # :func:`_clock` time the attempt started
 
 
-def _run_one_serial(spec: JobSpec, cache: Optional[ResultCache],
-                    policy: RetryPolicy,
-                    manifest: Optional[SweepManifest],
-                    workload: Optional[Any] = None,
-                    checkpoint_every: int = 0) -> JobOutcome:
-    fingerprint = spec.fingerprint()
-    total_elapsed = 0.0
-    total_ckpt_s = 0.0
-    error = ""
-    bundle = ""
-    for attempt in range(policy.retries + 1):
-        if attempt:
-            time.sleep(policy.backoff_delay(fingerprint, attempt))
+class Attempts:
+    """The one attempt core every dispatcher drives.
+
+    It owns the queue of ``(not_before, index, spec, attempt, elapsed)``
+    items, starts attempts (:meth:`start`: manifest ``running`` mark,
+    arena role, job message) and settles them through three verdicts:
+
+    * :meth:`completed` -- the attempt reported an outcome dict.  A
+      success finishes the job, unless it overran ``job_timeout``
+      (a transport that cannot interrupt an attempt, or one whose
+      result beat its deadline check, reports it late): then it is
+      charged as a timeout;
+    * :meth:`timed_out` -- the transport abandoned the attempt at its
+      deadline; it is charged up to that moment, with kind ``timeout``;
+    * :meth:`requeue` -- an innocent loss (a worker or a frame went
+      away, or the pool was recycled under it); it is not charged.
+
+    A charged attempt is logged in the manifest, then retried after the
+    policy's backoff or, with retries exhausted, recorded as a failed
+    outcome.  Verdicts are first-writer-wins per ``(index, attempt)``:
+    a late or duplicate report of an attempt already settled, or of a
+    job that already has its outcome, changes nothing.  A job's
+    ``wall_time`` and ``ckpt_s`` are the sums over its charged
+    attempts.  Dispatchers keep only their transport: how an attempt
+    reaches a process and how its outcome comes back.
+    """
+
+    def __init__(self, pending: Sequence[Tuple[int, JobSpec]], ctx: Any):
+        self.ctx = ctx
+        self.policy: RetryPolicy = ctx.policy or DEFAULT_POLICY
+        now = _clock()
+        self.queue: List[Tuple[float, int, JobSpec, int, float]] = [
+            (now, index, spec, 0, 0.0) for index, spec in pending]
+        self._indices = [index for index, _spec in pending]
+        self._settled: Set[Tuple[int, int]] = set()
+        self._ckpt_s: Dict[int, float] = {}
+        self._bundle: Dict[int, str] = {}
+
+    # ------------------------------------------------------------ queue
+
+    def done(self) -> bool:
+        """Every job this core was given has its outcome."""
+        return all(self.ctx.outcomes[i] is not None for i in self._indices)
+
+    def _live(self, index: int, attempt: int) -> bool:
+        return self.ctx.outcomes[index] is None \
+            and (index, attempt) not in self._settled
+
+    def _prune(self) -> None:
+        self.queue = [item for item in self.queue
+                      if self._live(item[1], item[3])]
+
+    def wait_s(self) -> float:
+        """Seconds until the earliest queued attempt may start (``0``
+        when one is ready, ``inf`` when nothing is queued)."""
+        self._prune()
+        if not self.queue:
+            return math.inf
+        return max(0.0, min(item[0] for item in self.queue) - _clock())
+
+    def take(self) -> Optional[Tuple[float, int, JobSpec, int, float]]:
+        """Pop the oldest ready queue item (input order breaks ties)."""
+        self._prune()
+        now = _clock()
+        ready = [item for item in self.queue if item[0] <= now]
+        if not ready:
+            return None
+        item = min(ready, key=lambda item: (item[0], item[1]))
+        self.queue.remove(item)
+        return item
+
+    def _enqueue(self, at: float, index: int, spec: JobSpec, attempt: int,
+                 elapsed: float) -> None:
+        if any(item[1] == index and item[3] >= attempt
+               for item in self.queue):
+            return   # this attempt (or a later one) is already queued
+        self.queue.append((at, index, spec, attempt, elapsed))
+
+    # ---------------------------------------------------------- attempts
+
+    def start(self, item: Tuple[float, int, JobSpec, int, float]
+              ) -> Tuple[Ticket, Dict[str, Any]]:
+        """Start the attempt ``item`` describes: its ticket and job
+        message.
+
+        The message is what every transport ships and
+        :func:`repro.run.forkserver.run_attempt` executes: the spec
+        dict beside its ephemeral knobs (which the dict omits), the
+        attempt number, the arena role :meth:`ArenaPlan.role` gives the
+        job now and the arena path, the current ``REPRO_FAULTS`` string,
+        the cache dir and the checkpoint interval.
+        """
+        _not_before, index, spec, attempt, elapsed = item
+        if self.ctx.manifest is not None:
+            self.ctx.manifest.mark_running(spec.fingerprint())
+        role, arena = self.ctx.arenas.role(index)
+        cache = self.ctx.cache
+        message = {
+            "spec": spec.to_dict(),
+            "ephemeral": spec.ephemeral(),
+            "attempt": attempt,
+            "arena_role": role,
+            "arena": arena,
+            "faults": os.environ.get(FAULTS_ENV, ""),
+            "cache_dir": str(cache.path) if cache is not None else None,
+            "checkpoint_every": int(self.ctx.checkpoint_every),
+        }
+        return Ticket(index, spec, attempt, elapsed, _clock()), message
+
+    def completed(self, ticket: Ticket, outcome: Dict[str, Any]) -> None:
+        """The attempt reported ``outcome`` (a worker outcome dict)."""
+        if not self._claim(ticket):
+            return
+        spent = float(outcome.get("elapsed", 0.0))
+        ckpt_s = float(outcome.get("ckpt_s", 0.0))
+        if not outcome.get("ok"):
+            self._charge(ticket, spent, ckpt_s, "failed",
+                         outcome.get("error") or "worker returned no "
+                                                 "outcome",
+                         start_offset=int(outcome.get("start_offset", 0)),
+                         bundle=str(outcome.get("bundle") or ""))
+        elif self.policy.job_timeout is not None \
+                and spent > self.policy.job_timeout:
+            self._charge(ticket, spent, ckpt_s, "timeout",
+                         self._timeout_text(),
+                         start_offset=int(outcome.get("resumed_from", 0)))
+        else:
+            index, spec = ticket.index, ticket.spec
+            ckpt_s += self._ckpt_s.pop(index, 0.0)
+            self.ctx.outcomes[index] = _finish(
+                spec, SimulationResult.from_dict(outcome["result"]),
+                ticket.elapsed + spent, ticket.attempt + 1,
+                self.ctx.cache, self.ctx.manifest,
+                dict(outcome, ckpt_s=ckpt_s))
+
+    def timed_out(self, ticket: Ticket) -> None:
+        """The transport abandoned the attempt at its deadline."""
+        if self._claim(ticket):
+            self._charge(ticket, _clock() - ticket.started, 0.0,
+                         "timeout", self._timeout_text())
+
+    def requeue(self, ticket: Ticket) -> None:
+        """The attempt was lost through no fault of its own: run it
+        again at the same attempt number, uncharged."""
+        if self._live(ticket.index, ticket.attempt):
+            self._enqueue(_clock(), ticket.index, ticket.spec,
+                          ticket.attempt, ticket.elapsed)
+
+    def _claim(self, ticket: Ticket) -> bool:
+        """First writer wins: ``True`` once per live attempt."""
+        if not self._live(ticket.index, ticket.attempt):
+            return False
+        self._settled.add((ticket.index, ticket.attempt))
+        return True
+
+    def _timeout_text(self) -> str:
+        return f"timeout: attempt exceeded {self.policy.job_timeout:.2f}s"
+
+    def _charge(self, ticket: Ticket, spent: float, ckpt_s: float,
+                kind: str, error: str, start_offset: int = 0,
+                bundle: str = "") -> None:
+        """Log a failed or timed-out attempt; retry it or fail the job."""
+        index, spec, attempt = ticket.index, ticket.spec, ticket.attempt
+        fingerprint = spec.fingerprint()
+        elapsed = ticket.elapsed + spent
+        self._ckpt_s[index] = self._ckpt_s.get(index, 0.0) + ckpt_s
+        if bundle:
+            self._bundle[index] = bundle
+        manifest = self.ctx.manifest
         if manifest is not None:
-            manifest.mark_running(fingerprint)
-        try:
-            result, elapsed, info = _serial_attempt(
-                spec, attempt, workload=workload, cache=cache,
-                checkpoint_every=checkpoint_every)
-        except Exception as exc:   # noqa: BLE001 -- per-job isolation
-            error = _failure_text(exc)
-            bundle = getattr(exc, "__triage_bundle__", bundle)
+            manifest.mark_attempt(fingerprint, attempt, kind, error,
+                                  start_offset=start_offset)
+        if attempt < self.policy.retries:
             if manifest is not None:
-                manifest.mark_attempt(
-                    fingerprint, attempt, "failed", error,
-                    start_offset=getattr(exc, "__resumed_from__", 0))
-                if attempt < policy.retries:
-                    manifest.mark_retrying(fingerprint, error)
+                manifest.mark_retrying(fingerprint, error)
+            delay = self.policy.backoff_delay(fingerprint, attempt + 1)
+            self._enqueue(_clock() + delay, index, spec, attempt + 1,
+                          elapsed)
+        else:
+            self.ctx.outcomes[index] = _fail(
+                spec, error, elapsed, attempt + 1, manifest,
+                bundle=self._bundle.get(index, ""),
+                ckpt_s=self._ckpt_s.pop(index, 0.0))
+
+
+# ------------------------------------------------------------------ serial
+
+def _run_serial(pending: Sequence[Tuple[int, JobSpec]], ctx: Any) -> None:
+    """Run jobs one by one in-process, in input order."""
+    for index, spec in pending:
+        _run_one_serial(index, spec, ctx)
+
+
+def _run_one_serial(index: int, spec: JobSpec, ctx: Any) -> JobOutcome:
+    """Run one job to completion in-process, backoff sleeps included.
+
+    An attempt cannot be interrupted here, so ``job_timeout`` is
+    enforced after the fact by :meth:`Attempts.completed`.  A recording
+    job writes its arena after it has succeeded, outside per-attempt
+    isolation: an injected writer death (``renamecrash``) escapes
+    ``run_many`` like every other durable writer's.
+    """
+    from repro.run import forkserver
+    attempts = Attempts([(index, spec)], ctx)
+    recorder, arena = None, None
+    while not attempts.done():
+        time.sleep(attempts.wait_s())
+        item = attempts.take()
+        if item is None:
             continue
-        total_elapsed += elapsed
-        total_ckpt_s += float(info.get("ckpt_s", 0.0))
-        if policy.job_timeout is not None and elapsed > policy.job_timeout:
-            # The serial path cannot interrupt a running attempt, so the
-            # timeout is enforced after the fact: discard and retry,
-            # matching the pool's observable behaviour.
-            error = (f"timeout: attempt took {elapsed:.2f}s "
-                     f"(limit {policy.job_timeout:.2f}s)")
-            if manifest is not None:
-                manifest.mark_attempt(
-                    fingerprint, attempt, "timeout", error,
-                    start_offset=int(info.get("resumed_from", 0)))
-                if attempt < policy.retries:
-                    manifest.mark_retrying(fingerprint, error)
-            continue
-        return _finish(spec, result, total_elapsed, attempt + 1, cache,
-                       manifest, dict(info, ckpt_s=total_ckpt_s))
-    return _fail(spec, error, total_elapsed, policy.retries + 1, manifest,
-                 bundle=bundle)
+        ticket, message = attempts.start(item)
+        outcome, recorder = forkserver.run_attempt(message, publish=False)
+        arena = message["arena"]
+        attempts.completed(ticket, outcome)
+    result = ctx.outcomes[index]
+    if recorder is not None and not result.failed:
+        result.arena_write_s = trace_arena.publish_arena(recorder, arena)
+    return result
 
 
 # ------------------------------------------------------------------ arenas
@@ -476,46 +608,21 @@ def _plan_arenas(pending: Sequence[Tuple[int, JobSpec]], trace_dir: Path,
 
 # -------------------------------------------------------------------- pool
 
-def _chunk_size(n_pending: int, jobs: int, policy: RetryPolicy) -> int:
-    """Jobs per dispatch chunk.
-
-    With a ``job_timeout`` every chunk is a single job so each attempt
-    keeps its own deadline; otherwise aim for ~4 chunks per worker (load
-    balance) capped at 8 jobs per pickle.
-    """
-    if policy.job_timeout is not None:
-        return 1
-    return max(1, min(8, math.ceil(n_pending / (jobs * 4))))
-
-
 def _run_pool(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
-              cache: Optional[ResultCache],
-              outcomes: List[Optional[JobOutcome]],
-              policy: RetryPolicy = DEFAULT_POLICY,
-              manifest: Optional[SweepManifest] = None,
-              arenas: Optional[ArenaPlan] = None,
-              checkpoint_every: int = 0) -> bool:
+              ctx: Any) -> bool:
     """Run misses on the persistent pool; ``False`` if it was unusable.
 
-    Jobs are dispatched in chunks (:func:`_chunk_size` per future): each
-    chunk ships one base job dict plus per-job deltas and the arena role
-    and path :meth:`ArenaPlan.role` gives each job at submission, and
-    returns per-job outcome dicts, so one pickle amortizes over the
-    chunk while failure isolation stays per job.  A recording job runs
-    on a worker beside its generating siblings and writes the arena
-    there; siblings submitted after it lands replay it.
-
-    Scheduling is slot-limited (at most ``jobs`` in-flight futures) so a
-    submitted chunk starts essentially immediately and its deadline can
-    be measured from submission (timeouts force single-job chunks).  An
-    overdue future is abandoned -- the worker keeps draining in the
+    One job message per future.  Scheduling is slot-limited (at most
+    ``jobs`` in-flight futures), so a submitted attempt starts
+    essentially at once and its deadline is measured from submission.
+    An overdue future is abandoned -- the worker keeps draining in the
     background as a *zombie* occupying one slot until its bounded work
-    finishes -- and the job is retried.  If zombies ever occupy every
-    slot the pool is recycled wholesale; a run that ends with zombies
-    outstanding also recycles it so the next sweep starts with clean
-    workers.  Job-level failures are consumed per entry; only pool-level
-    breakage (no semaphores, dead workers) aborts to the serial
-    fallback, which re-runs exactly the jobs without an outcome.
+    finishes -- and charged as a timeout.  If zombies ever occupy every
+    slot the pool is recycled wholesale and the attempts in flight are
+    requeued uncharged; a run that ends with zombies outstanding also
+    recycles it, so the next sweep starts with clean workers.  Only
+    pool-level breakage (no semaphores, dead workers) aborts to the
+    next dispatcher, which re-runs exactly the jobs without an outcome.
     """
     try:
         from concurrent.futures import FIRST_COMPLETED, wait
@@ -527,88 +634,28 @@ def _run_pool(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
     pool = forkserver.get_pool(jobs)
     if pool is None:
         return False
-    arenas = arenas or ArenaPlan()
-    chunk = _chunk_size(len(pending), jobs, policy)
-
-    # Jobs waiting to (re)submit: (not-before time, index, spec, attempt,
-    # elapsed-so-far, last error).  `active` maps future -> (chunk
-    # entries, deadline); `zombies` holds abandoned futures still
-    # draining a worker.
-    queue: List[Tuple[float, int, JobSpec, int, float, str]] = []
-    active: Dict[Any, Tuple[List[Tuple[int, JobSpec, int, float]],
-                            float]] = {}
+    attempts = Attempts(pending, ctx)
+    # future -> (ticket, deadline); zombies are abandoned, still running
+    active: Dict[Any, Tuple[Ticket, float]] = {}
     zombies: List[Any] = []
-    now = time.perf_counter()  # repro-lint: disable=R002
-    for index, spec in pending:
-        queue.append((now, index, spec, 0, 0.0, ""))
-
-    def settle(index: int, spec: JobSpec, attempt: int, elapsed: float,
-               error: str, at: float, kind: str = "failed",
-               start_offset: int = 0, bundle: str = "") -> None:
-        """Failed attempt: schedule a retry or record the failure.
-
-        The attempt log is written first: the host deadline and a late
-        worker failure can both reach here for the same attempt, and
-        :meth:`SweepManifest.mark_attempt` keeps exactly one outcome.
-        """
-        if manifest is not None:
-            manifest.mark_attempt(spec.fingerprint(), attempt, kind,
-                                  error, start_offset=start_offset)
-        if attempt < policy.retries:
-            if manifest is not None:
-                manifest.mark_retrying(spec.fingerprint(), error)
-            delay = policy.backoff_delay(spec.fingerprint(), attempt + 1)
-            queue.append((at + delay, index, spec, attempt + 1, elapsed,
-                          error))
-        else:
-            outcomes[index] = _fail(spec, error, elapsed, attempt + 1,
-                                    manifest, bundle=bundle)
-
-    def submit(ready: List[Tuple[float, int, JobSpec, int, float, str]],
-               at: float) -> None:
-        """Dispatch one chunk of ready queue items as a single future."""
-        entries = [(index, spec, attempt, elapsed)
-                   for (_nb, index, spec, attempt, elapsed, _e) in ready]
-        if manifest is not None:
-            for _index, spec, _attempt, _elapsed in entries:
-                manifest.mark_running(spec.fingerprint())
-        payload = forkserver.make_batch_payload(
-            entries[0][1].to_dict(),
-            [(spec.to_dict(), attempt, arenas.role(index),
-              spec.ephemeral())
-             for index, spec, attempt, _elapsed in entries],
-            cache_dir=str(cache.path) if cache is not None else None,
-            checkpoint_every=checkpoint_every)
-        future = pool.submit(forkserver._execute_batch, payload)
-        active[future] = (entries, policy.deadline_for(at))
-
     try:
-        while queue or active:
-            now = time.perf_counter()  # repro-lint: disable=R002
+        while True:
             zombies = [future for future in zombies if not future.done()]
-
-            # Submit ready work in chunks while slots are free.
-            free = jobs - len(active) - len(zombies)
-            if free > 0 and queue:
-                queue.sort(key=lambda item: item[0])
-                ready = [item for item in queue if item[0] <= now]
-                held = [item for item in queue if item[0] > now]
-                while free > 0 and ready:
-                    submit(ready[:chunk], now)
-                    ready = ready[chunk:]
-                    free -= 1
-                queue = held + ready
+            while len(active) + len(zombies) < jobs:
+                item = attempts.take()
+                if item is None:
+                    break
+                ticket, message = attempts.start(item)
+                future = pool.submit(forkserver._pool_entry, message)
+                active[future] = (
+                    ticket, attempts.policy.deadline_for(ticket.started))
 
             # Every slot wedged on an abandoned attempt: recycle the
             # pool so pending retries are not starved forever.
-            if len(zombies) >= jobs and (queue or active):
+            if len(zombies) >= jobs and not attempts.done():
                 forkserver.recycle_pool()
-                for future, (entries, _deadline) in active.items():
-                    # Innocent in-flight jobs requeue at the same
-                    # attempt; they were not at fault.
-                    for index, spec, attempt, elapsed in entries:
-                        queue.append((now, index, spec, attempt, elapsed,
-                                      ""))
+                for ticket, _deadline in active.values():
+                    attempts.requeue(ticket)
                 active.clear()
                 zombies = []
                 pool = forkserver.get_pool(jobs)
@@ -617,68 +664,47 @@ def _run_pool(pending: Sequence[Tuple[int, JobSpec]], jobs: int,
                 continue
 
             if not active:
-                if not queue:
-                    break
+                if attempts.done():
+                    return True
                 # Everything is backing off; sleep until the earliest.
-                wake_at = min(item[0] for item in queue)
-                time.sleep(max(0.01, min(wake_at - now, 0.5)))
+                time.sleep(max(0.01, min(attempts.wait_s(), 0.5)))
                 continue
 
-            # Wake on first completion, next deadline, or next retry.
-            horizon = min(record[1] for record in active.values())
-            if queue:
-                horizon = min(horizon, min(item[0] for item in queue))
-            wait_for = None if horizon == math.inf \
-                else max(0.0, min(horizon - now, 0.5))
-            done, _ = wait(list(active), timeout=wait_for,
+            # Wake on the first completion (a draining zombie's frees a
+            # slot too), the next deadline, or -- with a slot free --
+            # the next retry.  With every slot busy a ready retry cannot
+            # start, so it must not shorten the wait.
+            horizon = min(d for _t, d in active.values()) - _clock()
+            if len(active) + len(zombies) < jobs:
+                horizon = min(horizon, attempts.wait_s())
+            done, _ = wait(list(active) + zombies,
+                           timeout=None if horizon == math.inf
+                           else max(0.0, min(horizon, 0.5)),
                            return_when=FIRST_COMPLETED)
-
             for future in done:
-                entries, _deadline = active.pop(future)
-                at = time.perf_counter()  # repro-lint: disable=R002
+                if future not in active:
+                    continue   # a zombie finished draining
+                ticket, _deadline = active.pop(future)
                 try:
-                    batch = future.result()
+                    outcome = future.result()
                 except BrokenProcessPool:
                     # Pool-level breakage: recycle and bail out; the
-                    # serial fallback re-runs every job without an
+                    # next dispatcher re-runs every job without an
                     # outcome yet.
                     forkserver.recycle_pool()
                     return False
                 except Exception as exc:  # noqa: BLE001 -- per-future
-                    for index, spec, attempt, elapsed in entries:
-                        settle(index, spec, attempt, elapsed,
-                               _failure_text(exc), at)
-                    continue
-                for (index, spec, attempt, elapsed), job in \
-                        zip(entries, batch):
-                    attempt_time = float(job.get("elapsed", 0.0))
-                    if job.get("ok"):
-                        result = SimulationResult.from_dict(job["result"])
-                        outcomes[index] = _finish(
-                            spec, result, elapsed + attempt_time,
-                            attempt + 1, cache, manifest, job)
-                    else:
-                        settle(index, spec, attempt,
-                               elapsed + attempt_time,
-                               job.get("error", "worker returned no "
-                                                "outcome"), at,
-                               start_offset=int(job.get("start_offset",
-                                                        0)),
-                               bundle=str(job.get("bundle", "")))
+                    outcome = {"ok": False, "error": _failure_text(exc)}
+                attempts.completed(ticket, outcome)
 
-            # Abandon overdue attempts and retry them.
-            now = time.perf_counter()  # repro-lint: disable=R002
-            for future in [f for f, record in active.items()
-                           if record[1] <= now]:
-                entries, _deadline = active.pop(future)
+            # Abandon overdue attempts and charge them.
+            now = _clock()
+            for future in [f for f, (_t, deadline) in active.items()
+                           if deadline <= now]:
+                ticket, _deadline = active.pop(future)
                 if not future.cancel():
                     zombies.append(future)
-                for index, spec, attempt, elapsed in entries:
-                    settle(index, spec, attempt, elapsed,
-                           f"timeout: attempt exceeded "
-                           f"{policy.job_timeout:.2f}s", now,
-                           kind="timeout")
-        return True
+                attempts.timed_out(ticket)
     finally:
         # The pool outlives this call (warm workers for the next sweep)
         # unless abandoned attempts are still draining inside it.
@@ -774,7 +800,7 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
             plan = _plan_arenas(pending, directory, arenas)
 
     fell_back = False
-    used = "serial"
+    used, workers_used = "serial", 1
     if pending:
         from repro.run.dispatch import DispatchContext, resolve_chain
         ctx = DispatchContext(cache=cache, outcomes=outcomes,
@@ -789,12 +815,12 @@ def run_many(specs: Sequence[JobSpec], jobs: Optional[int] = None,
             if not remaining:
                 break
             if strategy.run(remaining, ctx):
-                used = strategy.name
+                used, workers_used = strategy.name, strategy.workers
         fell_back = used == "serial" and chain[0].name != "serial"
 
     report = RunReport(outcomes=[o for o in outcomes if o is not None],
                        wall_time=time.perf_counter() - start,  # repro-lint: disable=R002
-                       jobs=1 if (jobs == 1 or fell_back) else jobs,
+                       jobs=workers_used,
                        fell_back_to_serial=fell_back,
                        dispatch=used)
     assert len(report.outcomes) == len(specs)

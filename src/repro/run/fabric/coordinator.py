@@ -15,8 +15,9 @@ Dispatcher` interface over any number of connected workers.  One run:
 4. recover: expired leases requeue (innocently on worker death or a
    lost frame, charging the attempt on a per-job timeout -- see
    :mod:`~repro.run.fabric.leases`); late or duplicate results are
-   resolved first-writer-wins against the outcome slot and the
-   manifest's attempt log;
+   resolved first-writer-wins by the attempt core
+   (:class:`repro.run.executor.Attempts`), which also owns retries,
+   backoff, the manifest attempt log and the finished outcomes;
 5. degrade: when every worker is gone and none can return, ``run``
    returns ``False`` and the executor's dispatcher chain re-runs the
    outcome-less remainder locally -- completed outcomes are never
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.run.dispatch import DispatchContext, Dispatcher
+from repro.run.executor import Attempts
 from repro.run.fabric.leases import (
     DEFAULT_ACK_TIMEOUT,
     DEFAULT_LEASE_TIMEOUT,
@@ -137,6 +139,7 @@ class FabricDispatcher(Dispatcher):
                 return False
             return session.execute(pending)
         finally:
+            self.workers = session.joined
             session.shutdown()
 
 
@@ -160,6 +163,8 @@ class _Session:
         self._name_seq = 0
         self._accept_thread: Optional[threading.Thread] = None
         self._worker_flush_at = 0.0
+        #: Workers that joined this run, lost ones included.
+        self.joined = 0
         #: Events drained during start() that execute() must replay.
         self._backlog: List[Tuple[str, str, Any]] = []
 
@@ -205,6 +210,7 @@ class _Session:
                        now: float) -> None:
         self.remotes[name] = remote
         self.table.join(name, now)
+        self.joined += 1
         self._mark_worker(name, status="alive", connected_at=_wall_now(),
                           last_heartbeat=_wall_now(), jobs_done=0,
                           jobs_failed=0, lease="", flush=True)
@@ -280,14 +286,10 @@ class _Session:
             self._name_seq += 1
             name = f"w{self._name_seq}"
         channel.name = f"to:{name}"
-        cache = self.ctx.cache
         try:
             channel.send_json({
                 "type": "welcome", "name": name,
                 "faults": os.environ.get(FAULTS_ENV, ""),
-                "cache_dir": str(cache.path) if cache is not None
-                else None,
-                "checkpoint_every": int(self.ctx.checkpoint_every),
                 "heartbeat_s": self.config.heartbeat_s,
             })
         except ConnectionClosed:
@@ -312,70 +314,28 @@ class _Session:
 
         Returns ``True`` when every pending index holds an outcome, or
         ``False`` to degrade to the next dispatcher (workers all lost).
+        Queueing, retries and outcomes belong to the attempt core; this
+        loop owns leases, acks, heartbeats and worker health.
         """
-        from repro.run.executor import _fail, _finish
-        outcomes = self.ctx.outcomes
-        manifest = self.ctx.manifest
-        policy = self.ctx.policy
-        indices = [index for index, _spec in pending]
-
-        now = _now()
-        # (not_before, index, spec, attempt, elapsed, last_error)
-        work: List[Tuple[float, int, Any, int, float, str]] = \
-            [(now, index, spec, 0, 0.0, "") for index, spec in pending]
-        inflight: Dict[int, Tuple[int, Any, int, float]] = {}
-        settled_jobs: set = set()
+        attempts = Attempts(pending, self.ctx)
+        #: job_id -> ticket of a dispatched attempt whose result may
+        #: still arrive (dropped once a result or a verdict settles it).
+        inflight: Dict[int, Any] = {}
         draining: set = set()
         job_seq = 0
-        dispatch_seq = 0
-        last_worker_seen = now
+        last_worker_seen = _now()
 
-        def settle(index: int, spec: Any, attempt: int, elapsed: float,
-                   error: str, at: float, kind: str = "failed",
-                   start_offset: int = 0, bundle: str = "") -> None:
-            """Charge a failed/timed-out attempt; retry or fail out."""
-            if outcomes[index] is not None:
-                return  # a duplicate dispatch already settled this slot
-            if manifest is not None:
-                manifest.mark_attempt(spec.fingerprint(), attempt, kind,
-                                      error, start_offset=start_offset)
-            if attempt < policy.retries:
-                if manifest is not None:
-                    manifest.mark_retrying(spec.fingerprint(), error)
-                if any(item[1] == index and item[3] > attempt
-                       for item in work):
-                    return  # the retry is already queued
-                delay = policy.backoff_delay(spec.fingerprint(),
-                                             attempt + 1)
-                work.append((at + delay, index, spec, attempt + 1,
-                             elapsed, error))
-            else:
-                outcomes[index] = _fail(spec, error, elapsed,
-                                        attempt + 1, manifest,
-                                        bundle=bundle)
-
-        def requeue_innocent(lease, at: float) -> None:
-            """Re-dispatch a lease whose worker/frames went away; the
-            attempt never completed anywhere, so it is not charged."""
-            entry = inflight.get(lease.job_id)
-            if entry is None or lease.job_id in settled_jobs:
-                return
-            index, spec, attempt, elapsed = entry
-            if outcomes[index] is None:
-                work.append((at, index, spec, attempt, elapsed, ""))
-
-        def drop_worker(name: str, at: float, why: str) -> None:
+        def drop_worker(name: str, why: str) -> None:
             lease = self.table.drop(name)
             remote = self.remotes.pop(name, None)
             if remote is not None:
                 remote.channel.close()
             draining.discard(name)
-            if lease is not None:
-                requeue_innocent(lease, at)
+            if lease is not None and lease.job_id in inflight:
+                attempts.requeue(inflight.pop(lease.job_id))
             self._mark_worker(name, status=why, lease="", flush=True)
 
-        def handle_result(name: str, message: Dict[str, Any],
-                          at: float) -> None:
+        def handle_result(name: str, message: Dict[str, Any]) -> None:
             job_id = int(message.get("job_id", -1))
             remote = self.remotes.get(name)
             if remote is not None:
@@ -386,31 +346,17 @@ class _Session:
                     pass
             draining.discard(name)
             self.table.release(name, job_id)
-            if job_id in settled_jobs or job_id not in inflight:
-                return
-            settled_jobs.add(job_id)
-            index, spec, attempt, elapsed = inflight[job_id]
+            ticket = inflight.pop(job_id, None)
+            if ticket is None:
+                return   # a duplicate frame, or the job timed out
             outcome = message.get("outcome") or {}
-            attempt_time = float(outcome.get("elapsed", 0.0))
             info = self.table.workers.get(name)
-            if outcome.get("ok"):
-                if info is not None:
+            if info is not None:
+                if outcome.get("ok"):
                     info.jobs_done += 1
-                if outcomes[index] is None:
-                    from repro.core.experiment import SimulationResult
-                    result = SimulationResult.from_dict(
-                        outcome["result"])
-                    outcomes[index] = _finish(
-                        spec, result, elapsed + attempt_time,
-                        attempt + 1, self.ctx.cache, manifest, outcome)
-            else:
-                if info is not None:
+                else:
                     info.jobs_failed += 1
-                settle(index, spec, attempt, elapsed + attempt_time,
-                       outcome.get("error",
-                                   "worker returned no outcome"), at,
-                       start_offset=int(outcome.get("start_offset", 0)),
-                       bundle=str(outcome.get("bundle", "")))
+            attempts.completed(ticket, outcome)
             self._mark_worker(name, lease="",
                               jobs_done=getattr(info, "jobs_done", 0),
                               jobs_failed=getattr(info, "jobs_failed",
@@ -426,7 +372,7 @@ class _Session:
                     self._register_join(name, payload, now)
                     last_worker_seen = now
                 elif event == "lost":
-                    drop_worker(name, now, "lost")
+                    drop_worker(name, "lost")
                 elif event == "msg":
                     mtype = payload.get("type")
                     if mtype == "heartbeat":
@@ -439,73 +385,47 @@ class _Session:
                         self.table.acknowledge(
                             name, int(payload.get("job_id", -1)), now)
                     elif mtype == "result":
-                        handle_result(name, payload, now)
+                        handle_result(name, payload)
 
             # Lease expiry: classify, then recover per reason.
             for lease, reason in self.table.expired(now):
                 if reason == "worker-lost":
-                    drop_worker(lease.worker, now, "lost")
+                    drop_worker(lease.worker, "lost")
                 elif reason == "ack-timeout":
+                    # The worker may still run it and report: keep the
+                    # ticket, first writer wins.
                     self.table.release(lease.worker, lease.job_id)
-                    requeue_innocent(lease, now)
+                    if lease.job_id in inflight:
+                        attempts.requeue(inflight[lease.job_id])
                 elif reason == "job-timeout":
                     self.table.release(lease.worker, lease.job_id)
                     draining.add(lease.worker)
-                    entry = inflight.get(lease.job_id)
-                    if entry is not None and \
-                            lease.job_id not in settled_jobs:
-                        settled_jobs.add(lease.job_id)
-                        index, spec, attempt, elapsed = entry
-                        settle(index, spec, attempt, elapsed,
-                               f"timeout: attempt exceeded "
-                               f"{policy.job_timeout:.2f}s", now,
-                               kind="timeout")
+                    if lease.job_id in inflight:
+                        attempts.timed_out(inflight.pop(lease.job_id))
 
-            # Drop queue entries whose outcome landed via another path.
-            work = [item for item in work if outcomes[item[1]] is None]
-
-            if all(outcomes[index] is not None for index in indices):
+            if attempts.done():
                 return True
 
             # Assignment: oldest ready work to idle workers.
-            idle = [name for name in self.table.idle_workers()
-                    if name not in draining and name in self.remotes]
-            if idle and work:
-                work.sort(key=lambda item: (item[0], item[1]))
-                for name in idle:
-                    ready = next((item for item in work
-                                  if item[0] <= now), None)
-                    if ready is None:
-                        break
-                    work.remove(ready)
-                    _nb, index, spec, attempt, elapsed, _err = ready
-                    job_seq += 1
-                    dispatch_seq += 1
-                    fingerprint = spec.fingerprint()
-                    role, arena = self.ctx.arenas.role(index)
-                    message = {
-                        "type": "job", "job_id": job_seq,
-                        "dispatch": dispatch_seq,
-                        "spec": spec.to_dict(),
-                        "ephemeral": spec.ephemeral(),
-                        "fingerprint": fingerprint,
-                        "attempt": attempt,
-                        "arena": arena,
-                        "arena_role": role,
-                    }
-                    if manifest is not None:
-                        manifest.mark_running(fingerprint)
-                    inflight[job_seq] = (index, spec, attempt, elapsed)
-                    lease = self.table.grant(name, job_seq, index,
-                                             fingerprint, attempt,
-                                             dispatch_seq, now)
-                    self._mark_worker(name, lease=fingerprint[:12],
-                                      lease_since=_wall_now(),
-                                      flush=True)
-                    try:
-                        self.remotes[name].channel.send_json(message)
-                    except ConnectionClosed:
-                        drop_worker(name, now, "lost")
+            for name in [name for name in self.table.idle_workers()
+                         if name not in draining and name in self.remotes]:
+                item = attempts.take()
+                if item is None:
+                    break
+                ticket, message = attempts.start(item)
+                job_seq += 1
+                fingerprint = ticket.spec.fingerprint()
+                inflight[job_seq] = ticket
+                self.table.grant(name, job_seq, ticket.index, fingerprint,
+                                 ticket.attempt, job_seq, now)
+                self._mark_worker(name, lease=fingerprint[:12],
+                                  lease_since=_wall_now(), flush=True)
+                try:
+                    self.remotes[name].channel.send_json(dict(
+                        message, type="job", job_id=job_seq,
+                        dispatch=job_seq, fingerprint=fingerprint))
+                except ConnectionClosed:
+                    drop_worker(name, "lost")
 
             # Degradation: nobody left to run anything.
             if not self.table.workers:

@@ -17,11 +17,13 @@ Robustness mechanics:
   until the coordinator acknowledges it (``result_ack``); the
   coordinator deduplicates, so an injected ``netdrop`` on either leg
   loses nothing.
-* **Explicit fault plan.**  The ``welcome`` payload carries the
-  coordinator's ``REPRO_FAULTS`` string; the worker's own environment
-  is deliberately ignored (the fork-server precedent: persistent
-  workers must not trust captured env).  The plan drives both job-level
-  faults (crash/hang/midcrash) and this side's transport faults.
+* **Explicit fault plans.**  The worker's own environment is
+  deliberately ignored (the fork-server precedent: persistent workers
+  must not trust captured env).  The ``welcome`` payload carries the
+  coordinator's ``REPRO_FAULTS`` string for this side's transport
+  faults and ``workerdie``; each job message carries the plan for its
+  own job-level and disk faults, with its cache dir and checkpoint
+  interval.
 * **``workerdie``.**  Rolled per *dispatch* (the coordinator's global
   dispatch counter, not the attempt number) right after the job is
   acknowledged: the process exits abruptly via ``os._exit``, leaving an
@@ -109,13 +111,11 @@ def serve_worker(address: str, name: Optional[str] = None,
         assigned = str(welcome.get("name") or name or "worker")
         channel.name = assigned
         channel.plan = plan_from_env(str(welcome.get("faults", "")))
-        cache_dir = welcome.get("cache_dir") or None
-        every = int(welcome.get("checkpoint_every", 0) or 0)
         heartbeat = _Heartbeat(channel,
                                float(welcome.get("heartbeat_s", 0.25)))
         heartbeat.start()
         log(f"connected to {address} as {assigned}")
-        return _serve_loop(channel, assigned, cache_dir, every, log)
+        return _serve_loop(channel, assigned, log)
     except (ConnectionClosed, ProtocolError) as exc:
         log(f"connection lost: {exc}")
         return 0
@@ -125,8 +125,7 @@ def serve_worker(address: str, name: Optional[str] = None,
         channel.close()
 
 
-def _serve_loop(channel: Channel, name: str, cache_dir: Optional[str],
-                checkpoint_every: int, log) -> int:
+def _serve_loop(channel: Channel, name: str, log) -> int:
     """Main receive/execute loop; returns the process exit code."""
     from repro.run import forkserver
 
@@ -155,17 +154,13 @@ def _serve_loop(channel: Channel, name: str, cache_dir: Optional[str],
             continue
         channel.send_json({"type": "ack", "job_id": job_id})
         dispatch_seq = int(message.get("dispatch", 0))
-        spec_dict = message["spec"]
         fingerprint = str(message.get("fingerprint", ""))
         if plan is not None and plan.roll("workerdie", fingerprint,
                                           dispatch_seq):
             # Injected abrupt death: no goodbye, no flush -- the lease
             # expires on the coordinator and the job re-dispatches.
             os._exit(3)
-        outcome = forkserver.run_entry(
-            spec_dict, int(message.get("attempt", 0)),
-            message.get("arena"), plan, cache_dir, checkpoint_every,
-            message.get("ephemeral"), message.get("arena_role"))
+        outcome = forkserver.run_entry(message)
         done_ids.add(job_id)
         result = {"type": "result", "job_id": job_id, "worker": name,
                   "outcome": outcome}

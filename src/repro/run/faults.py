@@ -59,9 +59,10 @@ Every decision is a pure function of ``(seed, kind, fingerprint,
 attempt)`` hashed through sha256 -- no global RNG state, no wall clock
 -- so a sweep re-run with the same plan injects exactly the same faults,
 and a retried attempt of the same job rolls independently (which is what
-lets retries eventually succeed).  Worker processes inherit the
-environment variable, so pool workers and the serial path inject
-identically.
+lets retries eventually succeed).  A job's plan travels in its job
+message, and :func:`job_faults` makes it the process's plan while the
+job runs, so a persistent worker injects what the sweep asked for now,
+not what its environment held when it started.
 
 Disk faults roll per ``(artifact category, op, sequence number)``
 instead of per job: :mod:`repro.run.atomicio` keys every durable write
@@ -72,10 +73,11 @@ replay the same sweep serially and the same writes fail the same way.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 #: Environment variable holding the fault plan.
 FAULTS_ENV = "REPRO_FAULTS"
@@ -295,3 +297,27 @@ def plan_from_env(env: Optional[str] = None) -> Optional[FaultPlan]:
         return None
     plan = FaultPlan.parse(text)
     return plan if plan.active else None
+
+
+@contextlib.contextmanager
+def job_faults(text: str) -> Iterator[None]:
+    """Make ``text`` -- the plan a job message carries -- the process's
+    ``REPRO_FAULTS`` while the block runs, then restore the old value.
+
+    Everything the job does, disk writes through
+    :mod:`repro.run.atomicio` included, then reads the job's own plan
+    through :func:`plan_from_env`.  Jobs run one at a time per process,
+    so the swap is never observed by another job.
+    """
+    saved = os.environ.get(FAULTS_ENV)
+    if text:
+        os.environ[FAULTS_ENV] = text
+    else:
+        os.environ.pop(FAULTS_ENV, None)
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop(FAULTS_ENV, None)
+        else:
+            os.environ[FAULTS_ENV] = saved

@@ -324,15 +324,14 @@ class TestArenaAccounting:
         spec.run(workload=recorder.workload())
         path = tmp_path / "t.arena"
         assert recorder.write(path)
-        intact = forkserver.run_entry(spec.to_dict(), 0, str(path), None,
-                                      None, 0, spec.ephemeral(),
-                                      arena.REPLAY)
+        message = {"spec": spec.to_dict(), "ephemeral": spec.ephemeral(),
+                   "attempt": 0, "arena_role": arena.REPLAY,
+                   "arena": str(path)}
+        intact = forkserver.run_entry(message)
         assert intact["ok"] and intact["replayed"]
         arena.forget(path)
         path.write_bytes(path.read_bytes()[:-8])
-        outcome = forkserver.run_entry(spec.to_dict(), 0, str(path), None,
-                                       None, 0, spec.ephemeral(),
-                                       arena.REPLAY)
+        outcome = forkserver.run_entry(message)
         assert outcome["ok"] and outcome["replayed"] is False
         assert outcome["result"] == intact["result"]
         report = repro.run.RunReport(outcomes=[executor._finish(

@@ -43,6 +43,7 @@ from repro.run.fabric import (
     parse_worker_spec,
 )
 from repro.run import gc as run_gc
+from repro.run.faults import FaultPlan
 
 TINY = dict(instructions=800, warmup=800)
 
@@ -391,6 +392,95 @@ class TestFabricSweeps:
         assert all("WedgeError" in e for e in errors["serial"])
         assert errors["pool"] == errors["serial"]
         assert errors["fabric"] == errors["serial"]
+
+    def test_dispatchers_conform_under_faults(self, tmp_path,
+                                              monkeypatch):
+        """Serial, pool and loopback fabric share one attempt core, so
+        under the same deterministic faults they agree job for job on
+        attempts, errors, the manifest's attempt-log kinds and results:
+        once with crashes (one job crashes then succeeds, one crashes
+        on every attempt), once with a hang past ``job_timeout``."""
+        timeout, hang_s = 1.5, 3.0
+        specs = [tiny_spec(seed=s) for s in range(3)]
+        fps = [spec.fingerprint() for spec in specs]
+        baseline = dicts(run_many(specs, jobs=1, cache=None,
+                                  arenas="off"))
+
+        def rolls(kind, seed):
+            plan = FaultPlan.parse(f"{kind}:0.5,seed:{seed}")
+            return [[plan.roll(kind, fp, attempt) for attempt in range(3)]
+                    for fp in fps]
+
+        def seed_for(kind, wanted):
+            return next(seed for seed in range(100000)
+                        if rolls(kind, seed) == wanted)
+
+        crash_seed = seed_for("crash", [[True, False, False],
+                                        [False, False, False],
+                                        [True, True, True]])
+        hang_seed = seed_for("hang", [[False, False, False],
+                                      [True, False, False],
+                                      [False, False, False]])
+        scenarios = {
+            "crash": (f"crash:0.5,seed:{crash_seed}", None),
+            "hang": (f"hang:0.5,hang_s:{hang_s},seed:{hang_seed}",
+                     timeout),
+        }
+        dispatchers = {
+            "serial": dict(jobs=1),
+            "pool": dict(jobs=2),
+            "fabric": dict(jobs=2, dispatch=self.fabric(("spawn:2",))),
+        }
+        for scenario, (faults, job_timeout) in scenarios.items():
+            monkeypatch.setenv("REPRO_FAULTS", faults)
+            policy = RetryPolicy(retries=2, job_timeout=job_timeout,
+                                 backoff_base=0.001, backoff_cap=0.01)
+            seen = {}
+            for name, knobs in dispatchers.items():
+                manifest = SweepManifest(
+                    tmp_path / scenario / name / MANIFEST_NAME)
+                report = run_many(specs, cache=None, manifest=manifest,
+                                  policy=policy, arenas="off", **knobs)
+                assert report.dispatch == name, scenario
+                logs = [sorted(manifest.get(fp).attempt_log,
+                               key=lambda entry: entry["attempt"])
+                        for fp in fps]
+                seen[name] = (
+                    [o.attempts for o in report.outcomes],
+                    [o.error for o in report.outcomes],
+                    [[entry["outcome"] for entry in log] for log in logs],
+                    [r.to_dict() if r is not None else None
+                     for r in report.results])
+                if scenario == "hang":
+                    hung = report.outcomes[1]
+                    assert hung.wall_time >= timeout, \
+                        f"{name}: timed-out attempt not charged"
+            assert seen["pool"] == seen["serial"], scenario
+            assert seen["fabric"] == seen["serial"], scenario
+            attempts, errors, kinds, results = seen["serial"]
+            if scenario == "crash":
+                assert attempts == [2, 1, 3]
+                assert kinds == [["failed", "ok"], ["ok"],
+                                 ["failed"] * 3]
+                assert errors[:2] == ["", ""]
+                assert errors[2].startswith("InjectedCrash")
+                assert results[:2] == baseline[:2] and results[2] is None
+            else:
+                assert attempts == [1, 2, 1]
+                assert kinds == [["ok"], ["timeout", "ok"], ["ok"]]
+                assert errors == ["", "", ""] and results == baseline
+
+    def test_report_counts_the_fabric_workers_that_ran(self, tmp_path):
+        """``--workers spawn:3`` without ``--jobs`` reports the fabric
+        workers that joined, not the local worker count."""
+        specs = [tiny_spec(seed=s) for s in range(6)]
+        manifest = SweepManifest(tmp_path / MANIFEST_NAME)
+        report = run_many(specs, jobs=1, cache=None, manifest=manifest,
+                          arenas="off",
+                          dispatch=self.fabric(("spawn:3",)))
+        assert report.dispatch == "fabric" and not report.failures
+        assert 1 < report.jobs == len(manifest.workers) <= 3
+        assert f"with {report.jobs} worker(s)" in report.format_summary()
 
     def test_ephemeral_round_trip(self):
         spec = tiny_spec(check=True, watchdog_cycles=7,

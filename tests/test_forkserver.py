@@ -1,10 +1,11 @@
-"""Tests for the fork-server pool and batched dispatch
+"""Tests for the fork-server pool and its one-job dispatch
 (:mod:`repro.run.forkserver`) plus the profiling harness.
 
-The delta codec is exercised on real JobSpec dicts, pool persistence
-across calls is checked directly, and the headline guarantee -- a
-fork-server sweep under ``REPRO_FAULTS`` produces byte-identical
-results to the serial generator path -- is asserted end to end.
+The job message and worker entry are exercised directly, pool
+persistence across calls is checked directly, and the headline
+guarantee -- a fork-server sweep under ``REPRO_FAULTS`` produces
+byte-identical results to the serial generator path -- is asserted end
+to end.
 """
 
 import os
@@ -42,71 +43,42 @@ def _spec(seed=0, kind="oltp", **sizes):
                    **sizes)
 
 
-class TestDeltaCodec:
-    def test_flatten_unflatten_roundtrip(self):
-        data = _spec().to_dict()
-        flat = forkserver.flatten(data)
-        assert forkserver.unflatten(flat) == data
-
-    def test_delta_between_real_jobspecs(self):
-        import dataclasses
-        base = default_system()
-        small = JobSpec(base, WorkloadSpec("oltp"), seed=0, **TINY)
-        wide = JobSpec(
-            base.replace(processor=dataclasses.replace(
-                base.processor, window_size=128)),
-            WorkloadSpec("oltp"), seed=3, **TINY)
-        base_flat = forkserver.flatten(small.to_dict())
-        delta = forkserver.encode_delta(base_flat, wide.to_dict())
-        assert forkserver.apply_delta(base_flat, delta) == \
-            wide.to_dict()
-        # The delta only carries what actually differs.
-        changed = {path for path, _ in delta["set"]}
-        assert any("window_size" in path for path in changed)
-        assert len(changed) < len(base_flat) / 2
-
-    def test_identical_jobs_produce_empty_delta(self):
-        base_flat = forkserver.flatten(_spec().to_dict())
-        delta = forkserver.encode_delta(base_flat, _spec().to_dict())
-        assert delta["set"] == [] and delta["drop"] == []
-
-    def test_dropped_keys_round_trip(self):
-        base = {"a": 1, "nested": {"x": 1, "y": 2}}
-        other = {"a": 1, "nested": {"x": 1}}
-        base_flat = forkserver.flatten(base)
-        delta = forkserver.encode_delta(base_flat, other)
-        assert forkserver.apply_delta(base_flat, delta) == other
+def _message(job, attempt=1, **fields):
+    """The attempt core's job message for ``spec`` (no arena, no
+    cache)."""
+    from repro.run.dispatch import DispatchContext
+    from repro.run.executor import Attempts
+    ctx = DispatchContext(outcomes=[None], policy=DEFAULT_POLICY)
+    item = (0.0, 0, job, attempt, 0.0)
+    _ticket, message = Attempts([(0, job)], ctx).start(item)
+    return dict(message, **fields)
 
 
 class TestBatchPayload:
+    """The one-job message every transport ships, and the worker entry
+    that executes it."""
+
     def test_payload_ships_faults_string(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "crash:0.5,seed:7")
-        spec = _spec()
-        payload = forkserver.make_batch_payload(
-            spec.to_dict(), [(spec.to_dict(), 1, None, spec.ephemeral())])
-        assert payload["faults"] == "crash:0.5,seed:7"
+        message = _message(_spec())
+        assert message["faults"] == "crash:0.5,seed:7"
+        assert message["attempt"] == 1
 
-    def test_execute_batch_runs_jobs(self):
+    def test_run_entry_runs_a_job(self):
         spec_a, spec_b = _spec(seed=0), _spec(seed=1)
-        payload = forkserver.make_batch_payload(
-            spec_a.to_dict(),
-            [(spec_a.to_dict(), 1, None, spec_a.ephemeral()),
-             (spec_b.to_dict(), 1, None, spec_b.ephemeral())])
-        out = forkserver._execute_batch(payload)
+        out = [forkserver.run_entry(_message(spec))
+               for spec in (spec_a, spec_b)]
         assert [entry["ok"] for entry in out] == [True, True]
         assert out[0]["result"] == spec_a.run().to_dict()
         assert out[1]["result"] == spec_b.run().to_dict()
 
-    def test_execute_batch_isolates_per_job_errors(self):
+    def test_run_entry_isolates_errors(self):
         good = _spec(seed=0)
         bad = good.to_dict()
         bad["workload"]["kind"] = "no-such-workload"
-        payload = forkserver.make_batch_payload(
-            good.to_dict(), [(bad, 1, None, good.ephemeral()),
-                            (good.to_dict(), 1, None, good.ephemeral())])
-        out = forkserver._execute_batch(payload)
-        assert out[0]["ok"] is False and out[0]["error"]
-        assert out[1]["ok"] is True
+        out = forkserver.run_entry(_message(good, spec=bad))
+        assert out["ok"] is False and out["error"]
+        assert forkserver.run_entry(_message(good))["ok"] is True
 
 
 class TestPoolLifecycle:
@@ -163,7 +135,7 @@ class TestPoolVsSerial:
                                              tmp_path):
         """Fault-injected fork-server run is byte-identical to serial.
 
-        The faults string rides inside the batch payload, so persistent
+        The faults string rides inside each job message, so persistent
         workers honour the value set *after* the pool was first forked.
         """
         forkserver.recycle_pool()
@@ -276,20 +248,26 @@ class TestPoolRecording:
     def test_enospc_on_worker_arena_write(self, monkeypatch, tmp_path):
         specs = _window_sweep((16, 32, 64, 128))
         baseline = run_many(specs, jobs=1, arenas="off")
-        # Workers read disk faults from the environment they forked
-        # with: start them under the plan, and retire them afterwards.
-        forkserver.recycle_pool()
+        # The workers start fault-free; the plan set afterwards reaches
+        # their arena writes because it travels in each job message.
+        if forkserver.get_pool(2) is None:
+            pytest.skip("no usable multiprocessing start method")
         monkeypatch.setenv("REPRO_FAULTS", "enospc:1.0")
-        try:
-            if forkserver.get_pool(2) is None:
-                pytest.skip("no usable multiprocessing start method")
-            report = run_many(specs, jobs=2, arenas="auto",
-                              trace_dir=str(tmp_path))
-        finally:
-            forkserver.recycle_pool()
+        faulted_dir, clean_dir = tmp_path / "faulted", tmp_path / "clean"
+        report = run_many(specs, jobs=2, arenas="auto",
+                          trace_dir=str(faulted_dir))
         assert report.dispatch == "pool" and not report.failures
         assert [o.attempts for o in report.outcomes] == [1] * 4
         assert report.arena_jobs == 0 and report.trace_gen_s > 0.0
-        assert not any(p.suffix == ".arena" for p in tmp_path.iterdir())
+        assert not any(p.suffix == ".arena"
+                       for p in faulted_dir.glob("*"))
+        assert [r.to_dict() for r in report.results] == \
+            [r.to_dict() for r in baseline.results]
+        # Cleared again, still on the same workers: nothing is injected.
+        monkeypatch.delenv("REPRO_FAULTS")
+        report = run_many(specs, jobs=2, arenas="auto",
+                          trace_dir=str(clean_dir))
+        assert report.dispatch == "pool" and not report.failures
+        assert any(p.suffix == ".arena" for p in clean_dir.iterdir())
         assert [r.to_dict() for r in report.results] == \
             [r.to_dict() for r in baseline.results]

@@ -283,19 +283,16 @@ class TestPoolResilience:
         executed = []
         real_serial = executor._run_one_serial
 
-        def half_done_pool(pending, jobs, cache, outcomes, policy,
-                           manifest, arena_paths=None, **kw):
+        def half_done_pool(pending, jobs, ctx):
             # Complete the first pending job, then report the pool dead.
             index, spec = pending[0]
-            outcomes[index] = executor._finish(
-                spec, spec.run(), 0.0, 1, cache, manifest)
+            ctx.outcomes[index] = executor._finish(
+                spec, spec.run(), 0.0, 1, ctx.cache, ctx.manifest)
             return False
 
-        def tracking_serial(spec, cache, policy, manifest,
-                            workload=None, **kw):
+        def tracking_serial(index, spec, ctx):
             executed.append(spec.seed)
-            return real_serial(spec, cache, policy, manifest,
-                               workload=workload, **kw)
+            return real_serial(index, spec, ctx)
 
         monkeypatch.setattr(executor, "_run_pool", half_done_pool)
         monkeypatch.setattr(executor, "_run_one_serial", tracking_serial)
